@@ -30,7 +30,6 @@ Exactness boundary (see ``docs/scale.md``):
 from __future__ import annotations
 
 import math
-from heapq import heappush
 from typing import Any, Optional
 
 import numpy as np
@@ -224,17 +223,15 @@ class PopulationHybridServer:
             simple = self.overload is None and self._fault_cfg.queue_capacity is None
             if simple:
                 # Tight loop, mirroring the fast engine's inlined drain
-                # (keep in sync with fastpath.py / base.py / monitor.py):
-                # queue dicts, heap, scorer and the queue-length
+                # (keep in sync with fastpath.py / monitor.py): queue
+                # dicts, ``mark_changed`` and the queue-length
                 # integrator are hoisted into locals; arrival counters
                 # accumulate per rank and write back once.  Folding is
                 # inlined too — one method call per arrival would be the
                 # dominant cost at 1e6 clients.
                 entries = queue._entries
                 catalog = queue._catalog
-                versions = queue._versions
-                heap = queue._heap
-                score = queue._score
+                mark_changed = queue.mark_changed
                 push_open = self._push_open
                 added = 0
                 tw = metrics.queue_length
@@ -293,10 +290,7 @@ class PopulationHybridServer:
                         else:
                             entry.unmeasured[rank] += 1
                         added += 1
-                        if score is not None:
-                            version = versions.get(item_id, 0) + 1
-                            versions[item_id] = version
-                            heappush(heap, (-score(entry, 0.0), item_id, version))
+                        mark_changed(item_id)
                         if nxt < last_t:
                             raise ValueError(f"time ran backwards: {nxt} < {last_t}")
                         area += level * (nxt - last_t)
@@ -414,10 +408,7 @@ class PopulationHybridServer:
             queue._entries[item_id] = entry
         entry.fold(rank, t, self._class_priority[rank], measured)
         queue._total_requests += 1
-        if queue._score is not None:
-            version = queue._versions.get(item_id, 0) + 1
-            queue._versions[item_id] = version
-            heappush(queue._heap, (-queue._score(entry, 0.0), item_id, version))
+        queue.mark_changed(item_id)
         self.metrics.record_queue_length(t, len(queue))
         if wake and self._sleeping:
             self.env.schedule_call(0.0, self._on_wake)
@@ -427,8 +418,7 @@ class PopulationHybridServer:
         queue = self.pull_queue
         queue._entries[entry.item_id] = entry
         queue._total_requests += entry.num_requests
-        if queue._scheduler is not None:
-            queue._reindex(entry)
+        queue.mark_changed(entry.item_id)
 
     def _readmit_folded(self, group: FoldedEntry) -> None:
         """Re-queue a corrupted transmission's folded group (server ARQ)."""
@@ -438,8 +428,7 @@ class PopulationHybridServer:
         if existing is not None:
             existing.absorb(group)
             queue._total_requests += group.num_requests
-            if queue._scheduler is not None:
-                queue._reindex(existing)
+            queue.mark_changed(group.item_id)
         else:
             if self.overload is not None and not self.overload.admits(
                 group.lead_rank, len(queue)
@@ -571,13 +560,10 @@ class PopulationHybridServer:
                 env.schedule_call(self._arr_next - now, self._on_wake)
             return False
         # PullQueue.pop + TimeWeighted.set, inlined (keep in sync with
-        # base.py / monitor.py) — same per-service fast path as fastpath.py.
+        # monitor.py) — same per-service fast path as fastpath.py.
         queue = self.pull_queue
-        item_id = entry.item_id
-        del queue._entries[item_id]
+        del queue._entries[entry.item_id]
         queue._total_requests -= entry.num_requests
-        if queue._scheduler is not None and item_id in queue._versions:
-            queue._versions[item_id] += 1
         tw = self.metrics.queue_length
         if now < tw._last_time:
             raise ValueError(f"time ran backwards: {now} < {tw._last_time}")

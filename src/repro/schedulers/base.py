@@ -15,10 +15,12 @@ oldest arrival, item length).
 For schedulers whose scores depend only on entry state (not on the clock
 and not on cross-entry normalisation — flagged ``incremental = True``),
 the queue additionally maintains a *lazy max-heap index* keyed on
-``(score, -item_id)``: every mutation pushes a fresh heap record and
-bumps the item's version, and stale records are discarded when they
-surface at the top.  :meth:`PullScheduler.select` then answers in
-O(log n) amortised instead of rescanning the whole queue.
+``(score, -item_id)``: a mutation only records its item id as changed,
+and each selection re-scores every changed entry once and pushes one
+record for it.  Superseded records are skipped when they surface, and
+the heap is compacted to its live records whenever stale ones outnumber
+them, so it stays O(live entries).  :meth:`PullScheduler.select` then
+answers without rescanning the whole queue.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from ..workload.arrivals import Request
 from ..workload.items import ItemCatalog
 
 __all__ = ["PendingEntry", "PullQueue", "PullScheduler", "PushScheduler"]
+
+#: Stale heap records tolerated beyond the live ones before a selection
+#: compacts the heap: it holds at most ``2·len(queue) + HEAP_SLACK``
+#: records after every :meth:`PullQueue.peek_best`.
+HEAP_SLACK = 16
 
 
 @dataclass(slots=True)
@@ -117,8 +124,12 @@ class PullQueue:
 
     An incremental scheduler (see :class:`PullScheduler.incremental`) can
     be attached via :meth:`attach_scorer`; the queue then keeps a lazy
-    max-heap over ``(score, -item_id)`` current across every mutation so
-    :meth:`peek_best` answers without a full scan.
+    max-heap over ``(score, -item_id)`` so :meth:`peek_best` answers
+    without a full scan, re-scored once per selection and compacted to
+    O(live entries).  Every mutation records its item id through
+    :attr:`mark_changed`, which code changing an entry in place (an
+    engine folding arrivals without :meth:`add`) must call too; removing
+    an entry needs no index work.
     """
 
     def __init__(self, catalog: ItemCatalog) -> None:
@@ -128,8 +139,14 @@ class PullQueue:
         # Lazy max-heap index; populated only once a scorer is attached.
         self._scheduler: Optional["PullScheduler"] = None
         self._score: Optional[Callable[[PendingEntry, float], float]] = None
-        self._heap: list[tuple[float, int, int]] = []
-        self._versions: dict[int, int] = {}
+        # (-score, item_id) records, and each item's newest record: a
+        # record is live while its item is queued and it is the newest.
+        self._heap: list[tuple[float, int]] = []
+        self._newest: dict[int, tuple[float, int]] = {}
+        # Items mutated since the last selection.  The set lives as long
+        # as the queue, so hot loops may hoist the bound ``add``.
+        self._changed: set[int] = set()
+        self.mark_changed: Callable[[int], None] = self._changed.add
 
     # -- heap index --------------------------------------------------------------
     def attach_scorer(self, scheduler: "PullScheduler") -> None:
@@ -137,7 +154,8 @@ class PullQueue:
 
         Only valid for schedulers whose score is a pure function of entry
         state (``scheduler.incremental``); time-dependent policies would
-        read stale scores from the heap.
+        read stale scores from the heap.  Every queued entry counts as
+        changed, so the next selection scores each one once.
         """
         if not scheduler.incremental:
             raise ValueError(
@@ -147,48 +165,52 @@ class PullQueue:
         self._scheduler = scheduler
         self._score = scheduler.score
         self._heap = []
-        self._versions = {}
-        for entry in self._entries.values():
-            self._reindex(entry)
+        self._newest = {}
+        self._changed.update(self._entries)
 
     def detach_scorer(self) -> None:
         """Drop the heap index; selection falls back to the linear scan."""
         self._scheduler = None
         self._score = None
         self._heap = []
-        self._versions = {}
+        self._newest = {}
+        self._changed.clear()
 
     def indexed_for(self, scheduler: "PullScheduler") -> bool:
         """Whether the heap index is maintained for exactly ``scheduler``."""
         return self._scheduler is scheduler
 
-    def _reindex(self, entry: PendingEntry) -> None:
-        """Push a fresh heap record for ``entry``, superseding older ones."""
-        item_id = entry.item_id
-        versions = self._versions
-        version = versions.get(item_id, 0) + 1
-        versions[item_id] = version
-        # min-heap on (-score, item_id): max score first, smaller item id
-        # winning ties — the same key order as the linear scan.
-        heapq.heappush(self._heap, (-self._score(entry, 0.0), item_id, version))
-
-    def _unindex(self, item_id: int) -> None:
-        """Invalidate all heap records of a removed entry (lazy deletion)."""
-        if item_id in self._versions:
-            self._versions[item_id] += 1
-
     def peek_best(self) -> Optional[PendingEntry]:
         """The max-score entry per the attached scorer, or ``None`` if empty.
 
-        Pops dirty heap records (superseded versions, removed items) until
-        a live one surfaces; that record stays on the heap so repeated
-        peeks are O(1).
+        Re-scores each entry changed since the last call once and pushes
+        one record for it, rebuilds the heap from the queued entries'
+        newest records when it holds more than ``2·len(queue) +
+        HEAP_SLACK``, then pops stale records until a live one surfaces.
+        That record stays on the heap so repeated peeks are O(1).
         """
+        score = self._score
+        if score is None:
+            raise RuntimeError("peek_best needs a scorer; see attach_scorer")
+        entries = self._entries
+        newest = self._newest
         heap = self._heap
+        changed = self._changed
+        for item_id in changed:
+            entry = entries.get(item_id)
+            if entry is not None:
+                # min-heap on (-score, item_id): max score first, smaller
+                # item id winning ties — the same key order as the scan.
+                record = newest[item_id] = (-score(entry, 0.0), item_id)
+                heapq.heappush(heap, record)
+        changed.clear()
+        if len(heap) > 2 * len(entries) + HEAP_SLACK:
+            heap = self._heap = [newest[item_id] for item_id in entries]
+            heapq.heapify(heap)
         while heap:
-            _, item_id, version = heap[0]
-            entry = self._entries.get(item_id)
-            if entry is not None and version == self._versions.get(item_id):
+            record = heap[0]
+            entry = entries.get(record[1])
+            if entry is not None and newest[record[1]] is record:
                 return entry
             heapq.heappop(heap)
         return None
@@ -197,10 +219,10 @@ class PullQueue:
     def add(self, request: Request) -> PendingEntry:
         """Insert ``request``, creating or updating its item's entry.
 
-        The bodies of :meth:`PendingEntry.add` and :meth:`_reindex` are
-        inlined — this runs once per arrival on the hot path, and the
-        entry lookup by ``request.item_id`` already guarantees the
-        cross-item guard those methods carry cannot fire here.
+        The body of :meth:`PendingEntry.add` is inlined — this runs once
+        per arrival on the hot path, and the entry lookup by
+        ``request.item_id`` already guarantees the cross-item guard that
+        method carries cannot fire here.
         """
         item_id = request.item_id
         entry = self._entries.get(item_id)
@@ -219,20 +241,13 @@ class PullQueue:
             entry.first_arrival = request.time
         entry.requests.append(request)
         self._total_requests += 1
-        score = self._score
-        if score is not None:
-            versions = self._versions
-            version = versions.get(item_id, 0) + 1
-            versions[item_id] = version
-            heapq.heappush(self._heap, (-score(entry, 0.0), item_id, version))
+        self.mark_changed(item_id)
         return entry
 
     def pop(self, item_id: int) -> PendingEntry:
         """Remove and return the entry for ``item_id`` (service completed)."""
         entry = self._entries.pop(item_id)
         self._total_requests -= entry.num_requests
-        if self._scheduler is not None:
-            self._unindex(item_id)
         return entry
 
     def reinsert(self, entry: PendingEntry) -> PendingEntry:
@@ -253,8 +268,7 @@ class PullQueue:
             existing.length = min(existing.length, entry.length)
             queued = existing
         self._total_requests += entry.num_requests
-        if self._scheduler is not None:
-            self._reindex(queued)
+        self.mark_changed(entry.item_id)
         return queued
 
     def remove_request(self, request: Request) -> bool:
@@ -272,10 +286,7 @@ class PullQueue:
         self._total_requests -= 1
         if entry.num_requests == 0:
             del self._entries[request.item_id]
-            if self._scheduler is not None:
-                self._unindex(request.item_id)
-        elif self._scheduler is not None:
-            self._reindex(entry)
+        self.mark_changed(request.item_id)
         return True
 
     def make_entry(self, request: Request) -> PendingEntry:
@@ -336,7 +347,8 @@ class PullScheduler(abc.ABC):
 
         Ties break deterministically toward the smaller item id.  When the
         queue maintains a heap index for this scheduler the answer comes
-        from the index (O(log n) amortised); otherwise a linear scan.
+        from the index (:meth:`PullQueue.peek_best`); otherwise a linear
+        scan.
         """
         if queue.indexed_for(self):
             return queue.peek_best()

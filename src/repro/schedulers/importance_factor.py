@@ -63,8 +63,8 @@ class ImportanceFactorScheduler(PullScheduler):
 
         Any heap index built over the old scores is stale afterwards —
         callers must re-attach the scorer so
-        :meth:`~repro.schedulers.base.PullQueue.attach_scorer` rebuilds
-        every record (the servers' ``reconfigure_alpha`` does exactly
+        :meth:`~repro.schedulers.base.PullQueue.attach_scorer` re-scores
+        every entry (the servers' ``reconfigure_alpha`` does exactly
         that).
         """
         if not 0 <= alpha <= 1:
@@ -82,9 +82,9 @@ class ImportanceFactorScheduler(PullScheduler):
     def score(self, entry: PendingEntry, now: float) -> float:
         """Eq. 1, inlined; time plays no role.
 
-        The heap index calls this once per queue mutation, so the
-        ``stretch`` property and the :meth:`gamma` dispatch are flattened
-        into one expression — keep in sync with :meth:`gamma`.
+        The heap index calls this once per changed entry per selection,
+        so the ``stretch`` property and the :meth:`gamma` dispatch are
+        flattened into one expression — keep in sync with :meth:`gamma`.
         """
         return (
             self.alpha

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from heapq import heappush
 
 import numpy as np
 
@@ -224,18 +223,16 @@ class FastHybridServer:
                 # counters accumulate in locals — the same float/int
                 # operation sequences TimeWeighted.set / Counter would
                 # run, written back once.  ``PullQueue.add`` is inlined
-                # too (keep in sync with base.py): the queue's dicts,
-                # heap and scorer are hoisted once per drain instead of
-                # re-derived per call, and the request-count total is
-                # written back at the end (integer adds commute).
+                # too: the queue's dicts and its ``mark_changed`` are
+                # hoisted once per drain instead of re-derived per call,
+                # and the request-count total is written back at the end
+                # (integer adds commute).
                 chunk_len = len(chunk)
                 cutoff = self.cutoff
                 push_waiters = self._push_waiters
                 entries = queue._entries
                 catalog = queue._catalog
-                versions = queue._versions
-                heap = queue._heap
-                score = queue._score
+                mark_changed = queue.mark_changed
                 added = 0
                 warmup = metrics.warmup
                 tw = metrics.queue_length
@@ -275,10 +272,7 @@ class FastHybridServer:
                             entry.first_arrival = nxt
                         entry.requests.append(request)
                         added += 1
-                        if score is not None:
-                            version = versions.get(item_id, 0) + 1
-                            versions[item_id] = version
-                            heappush(heap, (-score(entry, 0.0), item_id, version))
+                        mark_changed(item_id)
                         if nxt < last_t:
                             raise ValueError(
                                 f"time ran backwards: {nxt} < {last_t}"
@@ -497,14 +491,11 @@ class FastHybridServer:
                 env.schedule_call(self._arr_next - now, self._on_wake)
             return False
         # PullQueue.pop + TimeWeighted.set, inlined (keep in sync with
-        # base.py / monitor.py): one entry leaves per service, so the
-        # method dispatch overhead is pure per-service tax.
+        # monitor.py): one entry leaves per service, so the method
+        # dispatch overhead is pure per-service tax.
         queue = self.pull_queue
-        item_id = entry.item_id
-        del queue._entries[item_id]
+        del queue._entries[entry.item_id]
         queue._total_requests -= entry.num_requests
-        if queue._scheduler is not None and item_id in queue._versions:
-            queue._versions[item_id] += 1
         tw = self.metrics.queue_length
         if now < tw._last_time:
             raise ValueError(f"time ran backwards: {now} < {tw._last_time}")

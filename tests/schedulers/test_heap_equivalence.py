@@ -1,9 +1,14 @@
-"""Heap-indexed vs linear-scan selection equivalence (PR 2 tentpole).
+"""Heap-indexed vs linear-scan selection equivalence.
 
-Two mirrored queues receive an identical mutation sequence; one is
-heap-indexed (when the policy allows it), the other always scans.  After
-every mutation both schedulers must pick the identical entry — including
-the smaller-item-id tie-break — for every registered pull scheduler.
+Two mirrored queues receive an identical operation sequence; one is
+heap-indexed (when the policy allows it), the other always scans.  The
+sequence interleaves mutations (adds, reneges, pops, preemptive
+reinserts with a shortened length, re-attaching the scorer) with
+selections, so several mutations — including pop-then-re-add of one item
+— can land between two selections.  At every selection both schedulers
+must pick the identical entry — including the smaller-item-id tie-break
+— for every registered pull scheduler, and the heap must hold at most
+``2·len(queue) + HEAP_SLACK`` records.
 """
 
 import numpy as np
@@ -12,20 +17,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.schedulers import PullQueue, make_pull_scheduler, pull_scheduler_names
+from repro.schedulers.base import HEAP_SLACK, PendingEntry
 from repro.workload import ItemCatalog, Request
 
 NUM_ITEMS = 10
 
+#: Relative frequency of each op-code.  Re-attaching the scorer rebuilds
+#: the heap, so it stays rare enough for stale records to pile up.
+OP_WEIGHTS = {"add": 40, "remove": 10, "pop": 10, "reinsert": 10, "select": 20, "attach": 2}
+
 #: (op-code, item selector, priority) triples; the selector is reduced
-#: modulo the applicable population at replay time.
+#: modulo the applicable population at replay time.  The minimum length
+#: keeps sequences long enough to outgrow the heap's slack.
 mutation_sequences = st.lists(
     st.tuples(
-        st.sampled_from(["add", "add", "add", "remove", "pop"]),
+        st.sampled_from([op for op, weight in OP_WEIGHTS.items() for _ in range(weight)]),
         st.integers(min_value=0, max_value=NUM_ITEMS - 1),
         st.sampled_from([1.0, 2.0, 3.0]),
     ),
-    min_size=1,
-    max_size=50,
+    min_size=40,
+    max_size=150,
 )
 
 
@@ -51,6 +62,8 @@ class _MirroredQueues:
         if self.indexed_sched.incremental:
             self.indexed.attach_scorer(self.indexed_sched)
         self.live: list[tuple[Request, Request]] = []
+        # Popped entry pairs "in service", which ``reinsert`` may return.
+        self.held: list[tuple[PendingEntry, PendingEntry]] = []
         self.clock = 0.0
 
     def apply(self, op: str, selector: int, priority: float) -> None:
@@ -79,12 +92,25 @@ class _MirroredQueues:
             popped_a = self.indexed.pop(victim)
             popped_b = self.scanned.pop(victim)
             assert popped_a.num_requests == popped_b.num_requests
+            self.held.append((popped_a, popped_b))
             gone = {id(r) for r in popped_a.requests} | {
                 id(r) for r in popped_b.requests
             }
             self.live = [
                 (a, b) for a, b in self.live if id(a) not in gone and id(b) not in gone
             ]
+        elif op == "reinsert" and self.held:
+            # Preemptive resume: part of the item was transmitted, and
+            # newer requests may have opened a fresh entry meanwhile.
+            popped_a, popped_b = self.held.pop(selector % len(self.held))
+            for entry, queue in ((popped_a, self.indexed), (popped_b, self.scanned)):
+                entry.length *= 0.5
+                queue.reinsert(entry)
+            self.live.extend(zip(popped_a.requests, popped_b.requests))
+        elif op == "attach" and self.indexed_sched.incremental:
+            self.indexed.attach_scorer(self.indexed_sched)
+        elif op == "select":
+            self.assert_selections_agree()
 
     def assert_selections_agree(self) -> None:
         now = self.clock + 1.0
@@ -95,6 +121,7 @@ class _MirroredQueues:
             assert len(self.indexed) == 0
         else:
             assert chosen_a.item_id == chosen_b.item_id
+        assert len(self.indexed._heap) <= 2 * len(self.indexed) + HEAP_SLACK
         assert self.indexed.total_requests == self.scanned.total_requests
         assert self.indexed.total_requests == sum(
             e.num_requests for e in self.indexed
@@ -108,7 +135,7 @@ class TestHeapScanEquivalence:
         queues = _MirroredQueues(name, alpha=0.5)
         for op, selector, priority in ops:
             queues.apply(op, selector, priority)
-            queues.assert_selections_agree()
+        queues.assert_selections_agree()
 
     @given(ops=mutation_sequences)
     @settings(max_examples=40)
@@ -116,17 +143,18 @@ class TestHeapScanEquivalence:
         # Constant lengths and equal priorities force wide score ties; the
         # heap must resolve them exactly like the scan: smaller id wins.
         queues = _MirroredQueues("stretch", alpha=1.0, constant_length=True)
-        forced = [("add", selector, 1.0) if op == "add" else (op, selector, 1.0)
-                  for op, selector, priority in ops]
-        for op, selector, priority in forced:
-            queues.apply(op, selector, priority)
-            queues.assert_selections_agree()
-            chosen = queues.indexed_sched.select(queues.indexed, queues.clock)
+        sched = queues.indexed_sched
+        for op, selector, _ in [*ops, ("select", 0, 1.0)]:
+            queues.apply(op, selector, 1.0)
+            if op != "select":
+                continue
+            chosen = sched.select(queues.indexed, queues.clock)
             if chosen is not None:
+                best = sched.score(chosen, queues.clock)
                 tied = [
                     e.item_id
                     for e in queues.indexed
-                    if e.num_requests == chosen.num_requests
+                    if sched.score(e, queues.clock) == best
                 ]
                 assert chosen.item_id == min(tied)
 
