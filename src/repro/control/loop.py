@@ -18,10 +18,7 @@ support matrix.
 
 Atomic apply: a knob state is installed between simulation events, with
 no time passing, so a reconfiguration can never interleave with a
-transmission.  The population engine additionally refuses cutoff moves
-while a push slot is on air; the loop defers the whole knob state to the
-next window boundary in that case (``pending`` in the status), keeping
-the application all-or-nothing.
+transmission.
 """
 
 from __future__ import annotations
@@ -213,9 +210,6 @@ class ControlLoop:
         self.window = float(window)
         self.applied = baseline
         self.seq = 0
-        #: Knob state whose installation was deferred past an on-air
-        #: push slot (population engine); retried next boundary.
-        self.pending: Optional[tuple[KnobState, str, str]] = None
         self._windower = MetricsWindower(system)
         self._process = system.env.process(self._run())
 
@@ -230,10 +224,6 @@ class ControlLoop:
             self._tick()
 
     def _tick(self) -> None:
-        if self.pending is not None:
-            knobs, source, reason = self.pending
-            self.pending = None
-            self._apply(knobs, source, reason)
         was_degraded = self.controller.degraded
         decision = self.controller.observe(self._observe())
         if decision.degraded and not was_degraded:
@@ -264,12 +254,6 @@ class ControlLoop:
         server = system.server
         old = self.applied
         if knobs.cutoff != old.cutoff:
-            # Population engine: moving the split mid-slot is refused;
-            # defer the whole state so the apply stays all-or-nothing.
-            sealed = getattr(server, "_push_sealed", None)
-            if sealed is not None:
-                self.pending = (knobs, source, reason)
-                return
             from ..schedulers.registry import make_push_scheduler
 
             push = make_push_scheduler(
@@ -308,7 +292,6 @@ class ControlLoop:
             applied=self.applied.to_dict(),
             seq=self.seq,
             window=self.window,
-            pending=self.pending is not None,
         )
         return record
 

@@ -14,7 +14,7 @@ The analyzer has two tiers:
   :func:`~repro.qa.engine.lint_paths` + :data:`~repro.qa.rules.REGISTRY`.
 * **Whole-program rules** (RL010–RL017) consume a project-wide symbol
   table and call graph — RNG seed-provenance taint, async hazards,
-  engine-parity contracts, trace-schema exhaustiveness:
+  trace-schema exhaustiveness:
   :func:`~repro.qa.engine.analyze_paths` +
   :data:`~repro.qa.rules.PROJECT_REGISTRY`, content-hash cached by
   :class:`~repro.qa.cache.AnalysisCache`.

@@ -34,7 +34,7 @@ from .engine import Finding, LintResult, Rule
 __all__ = ["ANALYZER_VERSION", "AnalysisCache", "DEFAULT_CACHE_NAME"]
 
 #: Bump on any change to summary extraction or per-file rule semantics.
-ANALYZER_VERSION = 1
+ANALYZER_VERSION = 2
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_NAME = ".reprolint-cache.json"

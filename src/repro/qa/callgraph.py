@@ -220,11 +220,9 @@ class FunctionSummary:
 
 @dataclass(frozen=True, slots=True)
 class ClassSummary:
-    """One class: method table plus the declarative contract markers.
+    """One class: method table plus its declarative contract marker.
 
-    ``parity_group`` / ``parity_surface`` mirror the ``__parity_group__``
-    and ``__parity_surface__`` class attributes (engine-parity contracts,
-    RL016); ``event_kind`` the ``kind: ClassVar[str]`` tag of trace-event
+    ``event_kind`` is the ``kind: ClassVar[str]`` tag of trace-event
     dataclasses (trace-schema exhaustiveness, RL017).
     """
 
@@ -232,9 +230,6 @@ class ClassSummary:
     line: int
     bases: tuple[str, ...]
     methods: tuple[str, ...]
-    parity_group: Optional[str]
-    parity_surface: Optional[tuple[str, ...]]
-    parity_surface_line: int
     event_kind: Optional[str]
 
 
@@ -285,11 +280,6 @@ class ModuleSummary:
                     "line": cls.line,
                     "bases": list(cls.bases),
                     "methods": list(cls.methods),
-                    "parity_group": cls.parity_group,
-                    "parity_surface": None
-                    if cls.parity_surface is None
-                    else list(cls.parity_surface),
-                    "parity_surface_line": cls.parity_surface_line,
                     "event_kind": cls.event_kind,
                 }
                 for name, cls in sorted(self.classes.items())
@@ -337,15 +327,11 @@ class ModuleSummary:
         classes: dict[str, ClassSummary] = {}
         for name, raw in dict(payload["classes"]).items():  # type: ignore[call-overload]
             cl = dict(raw)
-            surface = cl["parity_surface"]
             classes[name] = ClassSummary(
                 name=name,
                 line=int(cl["line"]),
                 bases=tuple(cl["bases"]),
                 methods=tuple(cl["methods"]),
-                parity_group=None if cl["parity_group"] is None else str(cl["parity_group"]),
-                parity_surface=None if surface is None else tuple(surface),
-                parity_surface_line=int(cl["parity_surface_line"]),
                 event_kind=None if cl["event_kind"] is None else str(cl["event_kind"]),
             )
         passed = payload["event_kinds_passed"]
@@ -963,9 +949,6 @@ def build_summary(tree: ast.Module, ctx: FileContext) -> ModuleSummary:
             _collect_nested(node, node.name, None, visit_function, summary)
         elif isinstance(node, ast.ClassDef):
             methods: list[str] = []
-            parity_group: Optional[str] = None
-            parity_surface: Optional[tuple[str, ...]] = None
-            surface_line = node.lineno
             event_kind: Optional[str] = None
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -976,13 +959,6 @@ def build_summary(tree: ast.Module, ctx: FileContext) -> ModuleSummary:
                     _collect_nested(item, qualname, node.name, visit_function, summary)
                     methods.append(item.name)
                     continue
-                group = _class_marker(item, "__parity_group__")
-                if group is not None and isinstance(group[0], str):
-                    parity_group = group[0]
-                surface = _class_marker(item, "__parity_surface__")
-                if surface is not None and isinstance(surface[0], (tuple, list)):
-                    parity_surface = tuple(str(v) for v in surface[0])
-                    surface_line = surface[1]
                 kind = _class_marker(item, "kind")
                 if kind is not None and isinstance(kind[0], str):
                     event_kind = kind[0]
@@ -1008,9 +984,6 @@ def build_summary(tree: ast.Module, ctx: FileContext) -> ModuleSummary:
                 line=node.lineno,
                 bases=bases,
                 methods=tuple(methods),
-                parity_group=parity_group,
-                parity_surface=parity_surface,
-                parity_surface_line=surface_line,
                 event_kind=event_kind,
             )
         else:

@@ -4,8 +4,8 @@ Two tiers:
 
 * default — the per-file rules (RL001–RL007), exactly as before;
 * ``--analyze`` — per-file rules *plus* the whole-program flow tier
-  (RL010–RL017: seed-provenance taint, async hazards, engine-parity
-  contracts, trace-schema exhaustiveness), with a content-hash cache
+  (RL010–RL017: seed-provenance taint, async hazards, trace-schema
+  exhaustiveness), with a content-hash cache
   (``--cache``/``--no-cache``) so warm repeat runs are near-instant.
 
 Exit codes (pinned by tests):
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "enable the whole-program flow tier (RL010+): call-graph, "
-            "seed-provenance taint, async hazards, parity contracts"
+            "seed-provenance taint, async hazards, trace-schema coverage"
         ),
     )
     parser.add_argument(

@@ -1,21 +1,4 @@
-"""Structural contract rules: engine parity and trace-schema coverage.
-
-RL016 — **engine parity**.  The repo ships three interchangeable
-engines (reference, fast-path, population) that must expose the same
-control surface: what `SchedulerCore` and `ControlLoop` call on one,
-they call on all.  Before this tier, that alignment was convention
-enforced by golden-trace tests *after* drift happened.  Engines now
-declare their contract in the class body::
-
-    class HybridServer:
-        __parity_group__ = "hybrid-engine"
-        __parity_surface__ = ("submit", "renege", "reconfigure_cutoff", ...)
-
-and the checker diffs every group: members must declare identical
-surfaces, implement every surface method with matching parameter names,
-and may not grow an undeclared ``reconfigure_*`` hook — adding a knob to
-one engine without the other two is a lint error at the PR, not a
-golden failure three PRs later.
+"""Structural contract rule: trace-schema coverage.
 
 RL017 — **trace-schema exhaustiveness**.  Every event kind registered
 in ``repro.obs.events`` must be either *handled* (its kind string
@@ -28,139 +11,13 @@ retired.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .callgraph import ClassSummary, ModuleSummary, ProjectIndex
+from .callgraph import ModuleSummary, ProjectIndex
 from .engine import Finding, ProjectRule
 from .rules import _register_project
 
-__all__ = ["EngineParity", "TraceExhaustiveness"]
-
-
-@_register_project
-class EngineParity(ProjectRule):
-    """Members of a ``__parity_group__`` must expose identical surfaces."""
-
-    name = "engine-parity"
-    code = "RL016"
-    summary = "engine control surfaces drifted apart"
-    rationale = (
-        "The reference, fast-path and population engines are "
-        "interchangeable by contract: the control plane retunes whichever "
-        "one is running. A hook added to one engine only is a latent "
-        "AttributeError in production and a silent semantic fork in "
-        "validation; the declared surface makes the contract a lint-time "
-        "diff instead of a runtime discovery."
-    )
-
-    def check_project(self, project: ProjectIndex) -> Iterator[Finding]:
-        groups: dict[str, list[tuple[ModuleSummary, ClassSummary]]] = {}
-        for summary in project:
-            for cls in summary.classes.values():
-                if cls.parity_group is not None:
-                    groups.setdefault(cls.parity_group, []).append((summary, cls))
-        for group in sorted(groups):
-            members = sorted(
-                groups[group], key=lambda pair: (pair[0].module, pair[1].name)
-            )
-            yield from self._check_group(project, group, members)
-
-    def _check_group(
-        self,
-        project: ProjectIndex,
-        group: str,
-        members: list[tuple[ModuleSummary, ClassSummary]],
-    ) -> Iterator[Finding]:
-        surface_union: set[str] = set()
-        for summary, cls in members:
-            if cls.parity_surface is None:
-                yield self._finding(
-                    summary, cls.line,
-                    f"class {cls.name} declares __parity_group__ "
-                    f"'{group}' but no __parity_surface__; list the shared "
-                    "hooks so the contract can be diffed",
-                )
-            else:
-                surface_union |= set(cls.parity_surface)
-
-        # Undeclared reconfigure hooks: a knob present on any member must
-        # be part of the declared contract (and hence of every member).
-        for summary, cls in members:
-            declared = set(cls.parity_surface or ())
-            for method in cls.methods:
-                if method.startswith("reconfigure_") and method not in declared:
-                    line = self._method_line(summary, cls, method)
-                    yield self._finding(
-                        summary, line,
-                        f"hook {cls.name}.{method} is not in "
-                        f"__parity_surface__ of group '{group}'; declare it "
-                        "so every engine must implement it",
-                    )
-                    surface_union.add(method)
-
-        if len(members) < 2:
-            # A singleton group has nothing to diff (partial-tree runs see
-            # one engine at a time); full-repo analysis sees all members.
-            return
-
-        # Declared surfaces must agree exactly.
-        for summary, cls in members:
-            if cls.parity_surface is None:
-                continue
-            missing_decl = surface_union - set(cls.parity_surface)
-            if missing_decl:
-                yield self._finding(
-                    summary, cls.parity_surface_line,
-                    f"__parity_surface__ of {cls.name} diverges from group "
-                    f"'{group}': missing {', '.join(sorted(missing_decl))}",
-                )
-
-        # Every surface method must exist on every member...
-        for summary, cls in members:
-            implemented = set(cls.methods)
-            for hook in sorted(surface_union):
-                if hook not in implemented:
-                    yield self._finding(
-                        summary, cls.line,
-                        f"engine {cls.name} lacks hook {hook}() required by "
-                        f"parity group '{group}'",
-                    )
-
-        # ...with matching parameter names.
-        for hook in sorted(surface_union):
-            reference: Optional[tuple[str, tuple[str, ...]]] = None
-            for summary, cls in members:
-                fn = summary.functions.get(f"{cls.name}.{hook}")
-                if fn is None:
-                    continue
-                params = tuple(p for p in fn.params if p not in ("self", "cls"))
-                if reference is None:
-                    reference = (cls.name, params)
-                elif params != reference[1]:
-                    yield self._finding(
-                        summary, fn.line,
-                        f"signature of {cls.name}.{hook}({', '.join(params)}) "
-                        f"diverges from {reference[0]}.{hook}"
-                        f"({', '.join(reference[1])}) in parity group "
-                        f"'{group}'",
-                    )
-
-    @staticmethod
-    def _method_line(
-        summary: ModuleSummary, cls: ClassSummary, method: str
-    ) -> int:
-        fn = summary.functions.get(f"{cls.name}.{method}")
-        return cls.line if fn is None else fn.line
-
-    def _finding(self, summary: ModuleSummary, line: int, message: str) -> Finding:
-        return Finding(
-            rule=self.name,
-            code=self.code,
-            path=summary.path,
-            line=line,
-            col=1,
-            message=message,
-        )
+__all__ = ["TraceExhaustiveness"]
 
 
 @_register_project

@@ -103,6 +103,16 @@ class PendingEntry:
             self.first_arrival = min(r.time for r in self.requests)
 
     @property
+    def lead_rank(self) -> int:
+        """Most important class rank among the requesters (the pool charged)."""
+        requests = self.requests
+        rank = requests[0].class_rank
+        for request in requests:
+            if request.class_rank < rank:
+                rank = request.class_rank
+        return rank
+
+    @property
     def stretch(self) -> float:
         """The paper's stretch value ``S_i = R_i / L_i²`` (§4.2).
 

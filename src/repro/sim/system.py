@@ -259,8 +259,8 @@ class HybridSystem:
             if front is self.server:
                 # Ideal uplink, no client front: the server drains the
                 # chunks itself at its queue-touch points — zero calendar
-                # records per arrival (see FastHybridServer.attach_arrivals).
-                self.server.attach_arrivals(batched)
+                # records per arrival (see RequestStore.attach).
+                self.server.store.attach(batched)
                 self.driver = None
             else:
                 # Arrivals pass through the uplink/fault front: one flat
@@ -280,7 +280,7 @@ class HybridSystem:
             if front is self.server:
                 # Ideal uplink: the server drains struct-of-arrays blocks
                 # at its queue-touch points — no Request objects at all.
-                self.server.attach_arrivals(aggregated)
+                self.server.store.attach(aggregated)
                 self.driver = None
             else:
                 # A non-ideal uplink needs per-request delivery records;
@@ -324,7 +324,7 @@ class HybridSystem:
                 # Admit buffered arrivals between the last service event
                 # and the horizon so end-of-run accounting matches the
                 # reference engine (which processes every arrival event).
-                self.server.finalize(horizon)
+                self.server.store.drain(horizon)
             self.watchdog.check()
             result = self.metrics.result(horizon=horizon, seed=self.seed)
         return replace(

@@ -25,9 +25,6 @@ def replicate(rep_seed, horizon):
 
 
 class Engine:
-    __parity_group__ = "toy"
-    __parity_surface__ = ("submit",)
-
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
@@ -78,8 +75,6 @@ def test_function_and_class_extraction(project) -> None:
         "Engine.submit",
     }
     engine = core.classes["Engine"]
-    assert engine.parity_group == "toy"
-    assert engine.parity_surface == ("submit",)
     assert set(engine.methods) == {"__init__", "submit"}
 
 

@@ -33,9 +33,9 @@ def test_whole_repo_analysis_clean() -> None:
     """The flow-aware tier's zero-violation baseline, over every tree.
 
     This is ``repro lint --analyze`` as CI runs it: per-file rules plus
-    seed-provenance taint, async hazards, engine parity and trace-schema
-    exhaustiveness, across the whole project at once (the contract rules
-    only see all three engines — and the real event registry — here).
+    seed-provenance taint, async hazards and trace-schema exhaustiveness,
+    across the whole project at once (the contract rule only sees the real
+    event registry here).
     """
     result = analyze_paths(
         [p for p in _ALL_TREES if p.exists()], all_rules(), all_project_rules()

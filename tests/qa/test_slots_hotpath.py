@@ -57,6 +57,9 @@ AUDITED_MODULES = {
     "repro.sim.server": set(),
     "repro.sim.client": set(),
     "repro.sim.fastpath": set(),
+    "repro.sim.policy": set(),
+    "repro.scale.folded": set(),
+    "repro.scale.server": set(),
 }
 
 
