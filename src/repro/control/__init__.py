@@ -7,9 +7,11 @@ watchdogs and last-known-good failsafe
 (:mod:`~repro.control.controller`), and the DES bridge that retunes any
 of the three engines online (:mod:`~repro.control.loop`).
 
-The live service twin lives in :mod:`repro.service.core`; both hosts
-drive the *same* controller object, so every property the Hypothesis
-suite pins for the simulator holds verbatim in production.
+The live service hosts the same controller in
+:mod:`repro.service.control`, and both hosts install its decisions on
+the one policy kernel through :func:`~repro.control.loop.install_knobs`,
+so every property the Hypothesis suite pins for the simulator holds
+verbatim in production.
 """
 
 from .controller import (

@@ -3,7 +3,7 @@
 :class:`SLOController` is a *pure* deterministic policy object — no
 wall-clock, no randomness, no simulator imports — so the same instance
 drives the DES engines (:mod:`repro.control.loop`), the live service
-(:mod:`repro.service.core`) and offline trace replay (``repro control
+(:mod:`repro.service.control`) and offline trace replay (``repro control
 replay``).  Hosts feed it one :class:`WindowObservation` per control
 window and apply whatever :class:`Decision.applied` asks for.
 

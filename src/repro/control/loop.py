@@ -41,6 +41,7 @@ __all__ = [
     "build_controlled_system",
     "default_bounds",
     "empirical_percentile",
+    "install_knobs",
     "observations_from_trace",
 ]
 
@@ -250,40 +251,11 @@ class ControlLoop:
     def _apply(self, knobs: KnobState, source: str, reason: str) -> None:
         if knobs == self.applied:
             return
-        system = self.system
-        server = system.server
-        old = self.applied
-        if knobs.cutoff != old.cutoff:
-            from ..schedulers.registry import make_push_scheduler
-
-            push = make_push_scheduler(
-                system.config.push_scheduler, system.catalog, knobs.cutoff
-            )
-            server.reconfigure_cutoff(knobs.cutoff, push)
-            system.push_scheduler = push
-        if knobs.alpha != old.alpha:
-            server.reconfigure_alpha(knobs.alpha)
-        if tuple(knobs.shares) != tuple(old.shares):
-            total = float(system.config.total_bandwidth)
-            server.reconfigure_bandwidth([s * total for s in knobs.shares])
+        server = self.system.server
+        install_knobs(server, self.applied, knobs, self.seq + 1, source, reason)
+        self.system.push_scheduler = server.push_scheduler
         self.applied = knobs
         self.seq += 1
-        tracer = system.tracer
-        if tracer is not None:
-            tracer.emit(
-                ConfigChange(
-                    time=float(system.env.now),
-                    seq=self.seq,
-                    source=source,
-                    reason=reason,
-                    old_cutoff=old.cutoff,
-                    new_cutoff=knobs.cutoff,
-                    old_alpha=old.alpha,
-                    new_alpha=knobs.alpha,
-                    old_shares=old.shares,
-                    new_shares=knobs.shares,
-                )
-            )
 
     def status(self) -> dict[str, object]:
         """Loop + controller status (mirrors the service ``/control``)."""
@@ -294,6 +266,47 @@ class ControlLoop:
             window=self.window,
         )
         return record
+
+
+def install_knobs(
+    kernel: Any, old: KnobState, knobs: KnobState, seq: int, source: str, reason: str
+) -> None:
+    """Install ``knobs`` on a policy kernel, replacing ``old``.
+
+    The one apply path of both controller hosts, :class:`ControlLoop` on
+    the engines and the service's
+    :class:`~repro.service.control.ServiceControlBridge`: each knob that
+    moved goes through the kernel's hook — the cutoff with a push
+    scheduler built for it, then α, then the class bandwidth shares — and
+    one ``ConfigChange`` numbered ``seq`` is emitted at the kernel's
+    ``env.now``.  Whether to apply at all is the host's call.
+    """
+    if knobs.cutoff != old.cutoff:
+        from ..schedulers.registry import make_push_scheduler
+
+        push = make_push_scheduler(kernel.config.push_scheduler, kernel.catalog, knobs.cutoff)
+        kernel.reconfigure_cutoff(knobs.cutoff, push)
+    if knobs.alpha != old.alpha:
+        kernel.reconfigure_alpha(knobs.alpha)
+    if tuple(knobs.shares) != tuple(old.shares):
+        total = float(kernel.config.total_bandwidth)
+        kernel.reconfigure_bandwidth([s * total for s in knobs.shares])
+    tracer = kernel.tracer
+    if tracer is not None:
+        tracer.emit(
+            ConfigChange(
+                time=float(kernel.env.now),
+                seq=seq,
+                source=source,
+                reason=reason,
+                old_cutoff=old.cutoff,
+                new_cutoff=knobs.cutoff,
+                old_alpha=old.alpha,
+                new_alpha=knobs.alpha,
+                old_shares=old.shares,
+                new_shares=knobs.shares,
+            )
+        )
 
 
 def default_bounds(

@@ -1,13 +1,14 @@
 """Live closed-loop SLO control: the service-side host of the controller.
 
-:class:`ServiceControlBridge` is the wall-clock twin of the simulator's
+:class:`ServiceControlBridge` hosts the *same* pure
+:class:`~repro.control.SLOController` as the simulator's
 :class:`~repro.control.loop.ControlLoop`: it collects one window of
 per-class QoS (empirical delay percentiles from every served request,
-blocking from the ledger's per-rank counters), feeds the *same* pure
-:class:`~repro.control.SLOController`, and applies the decided knob
-state through :class:`~repro.service.core.SchedulerCore`'s
-reconfiguration hooks — all from the monitor loop, so an apply never
-interleaves with an admission decision.
+blocking from the ledger's per-rank counters), feeds the controller,
+and installs the decided knob state on the core's policy kernel through
+:func:`~repro.control.loop.install_knobs`, the apply path both hosts
+share — all from the monitor loop, so an apply never interleaves with
+an admission decision.
 
 **Precedence with brownout** (the load-shedding controller that was here
 first): while ``brownout.level > 0`` the SLO controller is *frozen* — it
@@ -44,8 +45,8 @@ from ..control.controller import (
     WindowObservation,
 )
 from ..control.knobs import KnobState
-from ..control.loop import default_bounds, empirical_percentile
-from ..obs.events import ConfigChange, ControllerDegraded
+from ..control.loop import default_bounds, empirical_percentile, install_knobs
+from ..obs.events import ControllerDegraded
 
 if TYPE_CHECKING:
     from .core import SchedulerCore
@@ -74,7 +75,7 @@ class ServiceControlBridge:
             alpha=float(hybrid.alpha),
             shares=tuple(float(s.bandwidth_share) for s in hybrid.class_specs),
         )
-        alpha_tunable = hasattr(core.pull_scheduler, "set_alpha")
+        alpha_tunable = hasattr(core.kernel.pull_scheduler, "set_alpha")
         self.core = core
         self.controller = SLOController(
             spec=config.slo,
@@ -210,33 +211,9 @@ class ServiceControlBridge:
     ) -> None:
         if knobs == self.applied and not force:
             return
-        core = self.core
-        old = self.applied
-        if knobs.cutoff != old.cutoff:
-            core.reconfigure_cutoff(knobs.cutoff)
-        if knobs.alpha != old.alpha:
-            core.reconfigure_alpha(knobs.alpha)
-        if tuple(knobs.shares) != tuple(old.shares):
-            total = float(core.config.hybrid.total_bandwidth)
-            core.reconfigure_bandwidth([s * total for s in knobs.shares])
+        install_knobs(self.core.kernel, self.applied, knobs, self.seq + 1, source, reason)
         self.applied = knobs
         self.seq += 1
-        tracer = core.tracer
-        if tracer is not None:
-            tracer.emit(
-                ConfigChange(
-                    time=core.clock.now(),
-                    seq=self.seq,
-                    source=source,
-                    reason=reason,
-                    old_cutoff=old.cutoff,
-                    new_cutoff=knobs.cutoff,
-                    old_alpha=old.alpha,
-                    new_alpha=knobs.alpha,
-                    old_shares=old.shares,
-                    new_shares=knobs.shares,
-                )
-            )
 
     # -- introspection -------------------------------------------------------------
     def status(self) -> dict[str, object]:

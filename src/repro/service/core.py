@@ -1,18 +1,30 @@
-"""The live scheduler core: Eq. 1 selection against the wall clock.
+"""The live scheduler core: the policy kernel driven on the service clock.
 
-:class:`SchedulerCore` is the service-side twin of
-:class:`~repro.sim.server.HybridServer`: the same pull queue, the same
-registry-built push/pull schedulers (Eq. 1 importance selection with its
-smaller-id tie-break), the same per-class :class:`~repro.sim.bandwidth_pool.
-BandwidthPool` admission, the same alternating push/pull service loop —
-but ``yield env.timeout(length)`` becomes ``await asyncio.sleep(length ·
-time_scale)`` and arrivals come from an HTTP front instead of a DES
-driver.
+:class:`SchedulerCore` is the fourth driver of
+:class:`~repro.sim.policy.PolicyKernel`, beside the reference, fast and
+population engines: the kernel makes every scheduling decision (Figure
+1's push/pull alternation, Eq. 1 selection, per-class bandwidth
+admission, downlink ARQ, the ``reconfigure_*`` hooks), and the core only
+moves time — ``await asyncio.sleep(length · time_scale)`` on the
+injected :class:`~repro.service.clock.ServiceClock` — and takes arrivals
+from an HTTP front instead of a DES driver.  Three things are the
+service's own:
 
-The robustness spine lives here:
+* an idle push slot is skipped while nobody is parked — unlike the
+  simulator, where slots are free, a wall-clock service sleeping
+  through empty slots would add real latency to the pull path;
+* bandwidth demands are drawn one per service from the service's own
+  ``SeedSequence(seed)`` generator;
+* downlink corruption is one Bernoulli draw per transmission from a
+  second spawned generator, so two soaks with the same request sequence
+  draw identical demands and losses.
+
+The robustness spine lives here, settled from the kernel's request
+store as each request ends:
 
 * **deadlines** — every admitted request arms a class-budget timer; on
-  expiry a request still waiting is answered 504 and recorded reneged;
+  expiry a request still waiting reneges through the kernel and is
+  answered 504;
 * **backpressure** — a request that would open a queue entry beyond
   ``ingress_capacity`` is refused with a Retry-After derived from the
   current drain estimate;
@@ -22,39 +34,24 @@ The robustness spine lives here:
   :class:`~repro.service.ledger.ServiceLedger` *and* emitted as a
   :mod:`repro.obs` trace event, so ``repro trace validate`` proves the
   soak's conservation and ordering offline.
-
-The core never reads the wall clock directly — all timestamps flow from
-the injected :class:`~repro.service.clock.ServiceClock` — and all
-randomness (bandwidth demand, downlink corruption) comes from
-``SeedSequence``-spawned generators, so two soaks with the same request
-sequence draw identical demands.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..obs.events import (
-    GammaSnapshot,
-    PullDropped,
-    PullServed,
-    PushBroadcast,
-    QueueSampled,
-    RequestArrived,
-    RequestBlocked,
-    RequestReneged,
-    RequestSatisfied,
-    RequestShed,
-)
+from ..obs.events import RequestArrived, RequestReneged, RequestShed
 from ..obs.recorder import TraceRecorder
-from ..schedulers.base import PullQueue
+from ..schedulers.base import PendingEntry
 from ..schedulers.registry import make_pull_scheduler, make_push_scheduler
 from ..sim.bandwidth_pool import BandwidthPool
+from ..sim.metrics import MetricsCollector
+from ..sim.policy import DROPPED, PolicyKernel, RequestStore
 from ..workload.arrivals import Request
 from .brownout import BrownoutController
 from .clock import ServiceClock
@@ -133,6 +130,95 @@ class _Window:
         }
 
 
+#: Ledger status and HTTP code of each loss the kernel can apply.
+_LOSSES = {
+    "blocked": ("blocked", 502),
+    "reneged": ("timed_out", 504),
+    "shed": ("shed", 503),
+    "overload_rejected": ("shed", 503),
+}
+
+
+class _DownlinkLoss:
+    """The kernel's ``faults``: one Bernoulli loss draw per transmission."""
+
+    def __init__(self, probability: float, rng: np.random.Generator) -> None:
+        self.probability = probability
+        self.rng = rng
+
+    def downlink_lost(self) -> bool:
+        return bool(self.rng.random() < self.probability)
+
+
+class _SettlingStore(RequestStore):
+    """The kernel's request store, answering each request as it ends."""
+
+    def __init__(self, kernel: PolicyKernel) -> None:
+        super().__init__(kernel)
+        self.core: SchedulerCore = kernel.env
+
+    def decode(
+        self, item_id: int, started: float, now: float, corrupted: bool
+    ) -> list[Request]:
+        satisfied = super().decode(item_id, started, now, corrupted)
+        self.core._served(satisfied, now, via_push=True)
+        return satisfied
+
+    def satisfy(self, entry: PendingEntry, now: float) -> None:
+        super().satisfy(entry, now)
+        self.core._served(entry.requests, now, via_push=False)
+
+    def withdraw(self, request: Request, pulled: bool) -> bool:
+        """Remove a still-pending request; looks in the queue, then the waiters.
+
+        ``pulled`` is not trusted: a corrupted transmission re-queues its
+        requests even when a cutoff move pushed their item meanwhile.
+        """
+        return super().withdraw(request, True) or super().withdraw(request, False)
+
+    def lose(self, request: Request, outcome: str, now: float) -> None:
+        super().lose(request, outcome, now)
+        status, http = _LOSSES[outcome]
+        self.core._settle(request, RequestOutcome(status=status, http=http))
+
+    def readmit(self, entry: PendingEntry, now: float) -> bool:
+        """Server-side ARQ: re-queue a corrupted transmission's requests.
+
+        A request whose deadline fired while it was on air times out
+        instead.  Returns ``True`` if any request was queued.
+        """
+        core = self.core
+        queued = False
+        for request in entry.requests:
+            pending = core._pending.get(id(request))
+            if pending is None:
+                continue
+            if pending.expired:
+                RequestStore.lose(self, request, "reneged", now)
+                timed_out = RequestOutcome(status="timed_out", http=504)
+                core._settle(request, timed_out, from_flight=True)
+            else:
+                core.ledger.requeue(1)
+                queued = self.kernel._admit_pull(request, now) or queued
+        return queued
+
+
+class _ServiceKernel(PolicyKernel):
+    """The policy kernel with the service's driver hooks; ``env`` is the core."""
+
+    store_cls = _SettlingStore
+    env: SchedulerCore
+
+    def _start(self) -> None:
+        """Nothing to set up: :meth:`SchedulerCore.start` spawns the loops."""
+
+    def _wake(self) -> None:
+        self.env._wake()
+
+    def _next_demand(self) -> float:
+        return float(self.env._bandwidth_rng.poisson(self.config.bandwidth_demand_mean))
+
+
 class SchedulerCore:
     """The wall-clock hybrid scheduler behind the HTTP front.
 
@@ -140,9 +226,9 @@ class SchedulerCore:
     ----------
     config:
         Service configuration (embeds the :class:`~repro.core.config.
-        HybridConfig` the schedulers and pools are built from).
+        HybridConfig` the kernel is built from).
     clock:
-        Injected clock; tests may pass a pre-warmed one.
+        Injected clock; tests may pass a pre-warmed or virtual one.
     tracer:
         Optional :class:`~repro.obs.TraceRecorder`; when installed every
         decision is emitted in the simulator's trace schema.
@@ -158,27 +244,34 @@ class SchedulerCore:
         hybrid = config.hybrid
         self.clock = clock if clock is not None else ServiceClock()
         self.tracer = tracer
+        bandwidth_seq, downlink_seq = np.random.SeedSequence(config.seed).spawn(2)
+        self._bandwidth_rng = np.random.default_rng(bandwidth_seq)
         self.catalog = hybrid.build_catalog()
-        self.cutoff = hybrid.cutoff
-        self.pull_scheduler = make_pull_scheduler(hybrid.pull_scheduler, alpha=hybrid.alpha)
-        self.push_scheduler = make_push_scheduler(
-            hybrid.push_scheduler, self.catalog, hybrid.cutoff
+        faults = None
+        if config.downlink_loss > 0:
+            faults = _DownlinkLoss(config.downlink_loss, np.random.default_rng(downlink_seq))
+        self.kernel = _ServiceKernel(
+            env=self,
+            catalog=self.catalog,
+            config=hybrid,
+            push_scheduler=make_push_scheduler(hybrid.push_scheduler, self.catalog, hybrid.cutoff),
+            pull_scheduler=make_pull_scheduler(hybrid.pull_scheduler, alpha=hybrid.alpha),
+            pool=BandwidthPool(hybrid.class_bandwidth()),
+            metrics=MetricsCollector(hybrid.class_names(), list(hybrid.class_priorities())),
+            # Demands and losses come from the service's own generators.
+            streams=None,
+            faults=faults,
+            tracer=tracer,
         )
-        self.pool = BandwidthPool(hybrid.class_bandwidth())
-        self.queue = PullQueue(self.catalog)
-        if self.pull_scheduler.incremental:
-            self.queue.attach_scorer(self.pull_scheduler)
+        self.queue = self.kernel.pull_queue
+        #: Client wait per queued entry: one push slot plus one pull entry.
+        self._retry_cycle = 2.0 * float(np.mean(self.catalog.lengths)) * config.time_scale
         self.brownout = BrownoutController.from_config(config)
         self.ledger = ServiceLedger(num_classes=config.num_classes)
         self.health = HealthMonitor()
         self.control: Optional[ServiceControlBridge] = (
             ServiceControlBridge(self) if config.slo is not None else None
         )
-        seq = np.random.SeedSequence(config.seed)
-        bandwidth_seq, downlink_seq = seq.spawn(2)
-        self._bandwidth_rng = np.random.default_rng(bandwidth_seq)
-        self._downlink_rng = np.random.default_rng(downlink_seq)
-        self._push_waiters: dict[int, list[Request]] = {}
         self._pending: dict[int, _Pending] = {}  # keyed by id(request)
         self._wakeup: Optional[asyncio.Event] = None
         self._tasks: list[asyncio.Task] = []
@@ -199,6 +292,16 @@ class SchedulerCore:
                 time_scale=config.time_scale,
                 warmup=0.0,
             )
+
+    @property
+    def now(self) -> float:
+        """The kernel's ``env.now``: seconds on the service clock."""
+        return self.clock.now()
+
+    @property
+    def cutoff(self) -> int:
+        """The current push/pull split."""
+        return self.kernel.cutoff
 
     # -- life-cycle -------------------------------------------------------------
     async def start(self) -> None:
@@ -251,14 +354,11 @@ class SchedulerCore:
         if pending.future.done():
             return
         request = pending.request
-        if self.queue.remove_request(request) or self._unpark(request):
-            from_flight = False
-        else:
-            from_flight = True  # riding a transmission the drain abandoned
-        self.ledger.finish("failed", request.class_rank, from_flight=from_flight)
+        # Not queued and not parked: riding a transmission the drain abandoned.
+        on_air = not self.kernel.store.withdraw(request, True)
         if self.tracer is not None:
-            self._emit_lifecycle(RequestReneged, request)
-        self._resolve(pending, RequestOutcome(status="failed", http=503))
+            self.kernel._emit_lifecycle(RequestReneged, request, self.clock.now())
+        self._settle(request, RequestOutcome(status="failed", http=503), from_flight=on_air)
 
     # -- submission -------------------------------------------------------------
     async def submit(
@@ -299,31 +399,14 @@ class SchedulerCore:
             refusal = self._admission_refusal(request)
             if refusal is not None:
                 return refusal
-        if self.tracer is not None:
-            self.tracer.emit(
-                RequestArrived(
-                    time=now,
-                    req=self.tracer.rid(request),
-                    item_id=item_id,
-                    client_id=client_id,
-                    class_rank=class_rank,
-                    priority=priority,
-                    gen_time=now,
-                )
-            )
-        pending = _Pending(request=request, future=asyncio.get_running_loop().create_future())
+        loop = asyncio.get_running_loop()
+        pending = _Pending(request=request, future=loop.create_future())
         self._pending[id(request)] = pending
         self.ledger.enqueue()
-        if item_id < self.cutoff:
-            self._push_waiters.setdefault(item_id, []).append(request)
-        else:
-            self.queue.add(request)
-            self._emit_queue_length()
+        self.kernel._arrive(request, now)
         deadline = self.config.deadline_for(class_rank)
         if deadline is not None:
-            pending.timer = asyncio.get_running_loop().call_later(
-                deadline, self._expire, pending
-            )
+            pending.timer = loop.call_later(deadline, self._expire, pending)
         self._wake()
         return await pending.future
 
@@ -363,60 +446,8 @@ class SchedulerCore:
         pull entry, so draining ``n`` queued entries takes about
         ``n · 2 · mean_length · time_scale`` seconds.
         """
-        mean_length = float(np.mean(self.catalog.lengths))
-        cycle = 2.0 * mean_length * self.config.time_scale
-        estimate = max(1, len(self.queue)) * cycle
+        estimate = max(1, len(self.queue)) * self._retry_cycle
         return round(max(0.05, estimate), 3)
-
-    # -- deadline enforcement -----------------------------------------------------
-    def _expire(self, pending: _Pending) -> None:
-        """Class deadline fired: time the request out if it still waits."""
-        if pending.future.done():
-            return
-        request = pending.request
-        if self.queue.remove_request(request):
-            self._emit_queue_length()
-        elif not self._unpark(request):
-            # On air: a successful transmission still serves it; a
-            # corrupted one will honour the expiry at transfer end.
-            pending.expired = True
-            return
-        self.ledger.finish("timed_out", request.class_rank)
-        if self.tracer is not None:
-            self._emit_lifecycle(RequestReneged, request)
-        self._resolve(pending, RequestOutcome(status="timed_out", http=504))
-
-    def _unpark(self, request: Request) -> bool:
-        """Remove one parked push waiter (identity match); True if found."""
-        waiters = self._push_waiters.get(request.item_id)
-        if not waiters:
-            return False
-        for index, waiting in enumerate(waiters):
-            if waiting is request:
-                del waiters[index]
-                if not waiters:
-                    del self._push_waiters[request.item_id]
-                return True
-        return False
-
-    # -- resolution helpers -------------------------------------------------------
-    def _resolve(self, pending: _Pending, outcome: RequestOutcome) -> None:
-        if pending.timer is not None:
-            pending.timer.cancel()
-            pending.timer = None
-        self._pending.pop(id(pending.request), None)
-        if not pending.future.done():
-            pending.future.set_result(outcome)
-
-    def _emit_lifecycle(self, event_cls, request: Request) -> None:
-        self.tracer.emit(
-            event_cls(
-                time=self.clock.now(),
-                req=self.tracer.rid(request),
-                item_id=request.item_id,
-                class_rank=request.class_rank,
-            )
-        )
 
     def _emit_refused(self, request: Request) -> None:
         """Trace one pre-admission refusal (brownout or backpressure)."""
@@ -434,21 +465,52 @@ class SchedulerCore:
                 gen_time=request.time,
             )
         )
-        self._emit_lifecycle(RequestShed, request)
+        self.kernel._emit_lifecycle(RequestShed, request, now)
 
-    def _emit_queue_length(self) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(
-                QueueSampled(time=self.clock.now(), length=len(self.queue))
-            )
+    # -- deadline enforcement -----------------------------------------------------
+    def _expire(self, pending: _Pending) -> None:
+        """Class deadline fired: time the request out if it still waits.
 
+        A request on air is past reneging: a successful transmission
+        still serves it, a corrupted one times it out at transfer end.
+        """
+        if not pending.future.done() and not self.kernel.renege(pending.request):
+            pending.expired = True
+
+    # -- settlement (called from the kernel's store) -------------------------------
+    def _settle(
+        self, request: Request, outcome: RequestOutcome, from_flight: bool = False
+    ) -> bool:
+        """Book an admitted request's terminal outcome and answer its client.
+
+        Returns ``False`` for a request the core never admitted.
+        """
+        pending = self._pending.pop(id(request), None)
+        if pending is None:
+            return False
+        self.ledger.finish(outcome.status, request.class_rank, from_flight=from_flight)
+        if pending.timer is not None:
+            pending.timer.cancel()
+        if not pending.future.done():
+            pending.future.set_result(outcome)
+        return True
+
+    def _served(self, requests: list[Request], now: float, via_push: bool) -> None:
+        for request in requests:
+            delay = now - request.time
+            outcome = RequestOutcome(status="served", http=200, delay=delay, via_push=via_push)
+            settled = self._settle(request, outcome, from_flight=not via_push)
+            if settled and self.control is not None:
+                self.control.note_delay(request.class_rank, delay)
+
+    # -- service loops ------------------------------------------------------------
     def _wake(self) -> None:
+        """Resume the service loop if it sleeps idle (also the kernel's hook)."""
         if self._wakeup is not None and not self._wakeup.is_set():
             self._wakeup.set()
 
-    # -- service loops ------------------------------------------------------------
     async def _run(self) -> None:
-        """Figure 1 on the wall clock: push one slot, serve one pull entry."""
+        """Figure 1 on the service clock: push one slot, serve one pull entry."""
         while True:
             try:
                 pushed = await self._broadcast_next_push()
@@ -466,234 +528,38 @@ class SchedulerCore:
                 continue
             if not pushed and not served:
                 self._wakeup.clear()
-                if len(self.queue) or self._push_waiters:
+                if len(self.queue) or self.kernel.store.waiters:
                     continue
                 await self._wakeup.wait()
 
     async def _broadcast_next_push(self) -> bool:
-        """Broadcast one push slot; True if air time was spent.
-
-        Idle air is not burned when nobody is parked — unlike the
-        simulator (where slots are free), a wall-clock service sleeping
-        ``length · time_scale`` per empty slot would add real latency to
-        the pull path for no benefit.
-        """
-        if not self._push_waiters:
-            return False
-        item_id = self.push_scheduler.next_item()
-        if item_id is None:
+        """Broadcast one push slot; True if air time was spent (idle slots skipped)."""
+        kernel = self.kernel
+        if not kernel.store.waiters:
             return False
         started = self.clock.now()
-        length = self.catalog[item_id].length
-        await asyncio.sleep(length * self.config.time_scale)
-        now = self.clock.now()
-        if self._downlink_lost():
-            if self.tracer is not None:
-                self.tracer.emit(
-                    PushBroadcast(
-                        time=started, end=now, item_id=item_id,
-                        satisfied=(), corrupted=True,
-                    )
-                )
-            return True
-        satisfied: list[Request] = []
-        waiters = self._push_waiters.get(item_id)
-        if waiters:
-            still_waiting = []
-            for request in waiters:
-                if request.time <= started:
-                    satisfied.append(request)
-                else:
-                    still_waiting.append(request)
-            if still_waiting:
-                self._push_waiters[item_id] = still_waiting
-            else:
-                del self._push_waiters[item_id]
-        if self.tracer is not None:
-            rids = tuple(self.tracer.rid(request) for request in satisfied)
-            self.tracer.emit(
-                PushBroadcast(
-                    time=started, end=now, item_id=item_id,
-                    satisfied=rids, corrupted=False,
-                )
-            )
-        for request in satisfied:
-            self._finish_served(request, via_push=True, from_flight=False, now=now)
+        item_id = kernel._start_push(started)
+        if item_id is None:
+            return False
+        await asyncio.sleep(self.catalog[item_id].length * self.config.time_scale)
+        kernel._decode_push(item_id, started, self.clock.now())
         return True
 
     async def _serve_next_pull(self) -> bool:
         """Serve (or drop) the max-importance entry; True if one was taken."""
-        now = self.clock.now()
-        entry = self.pull_scheduler.select(self.queue, now)
-        if entry is None:
+        kernel = self.kernel
+        grant = kernel._take_pull(self.clock.now())
+        if grant is None:
             return False
-        if self.tracer is not None:
-            gamma = self.pull_scheduler.score(entry, now)
-            self.tracer.note_gamma(entry, gamma)
-            if self.tracer.gamma_snapshots:
-                self.tracer.emit(
-                    GammaSnapshot(
-                        time=now,
-                        served_item=entry.item_id,
-                        scores=tuple(
-                            (e.item_id, self.pull_scheduler.score(e, now))
-                            for e in self.queue
-                        ),
-                    )
-                )
-        self.queue.pop(entry.item_id)
-        self._emit_queue_length()
-        demand = float(self._bandwidth_rng.poisson(self.config.hybrid.bandwidth_demand_mean))
-        rank = min(request.class_rank for request in entry.requests)
-        if not self.pool.try_acquire(rank, demand):
-            if self.tracer is not None:
-                self.tracer.emit(
-                    PullDropped(
-                        time=self.clock.now(),
-                        item_id=entry.item_id,
-                        class_rank=rank,
-                        demand=demand,
-                        requests=tuple(
-                            self.tracer.rid(request) for request in entry.requests
-                        ),
-                    )
-                )
-            for request in entry.requests:
-                self.ledger.finish("blocked", request.class_rank)
-                if self.tracer is not None:
-                    self._emit_lifecycle(RequestBlocked, request)
-                pending = self._pending.get(id(request))
-                if pending is not None:
-                    self._resolve(pending, RequestOutcome(status="blocked", http=502))
-            return True
-        self.ledger.start_flight(entry.num_requests)
-        started = self.clock.now()
-        await asyncio.sleep(entry.length * self.config.time_scale)
-        now = self.clock.now()
-        corrupted = self._downlink_lost()
-        if self.tracer is not None:
-            self.tracer.emit(
-                PullServed(
-                    time=started,
-                    end=now,
-                    item_id=entry.item_id,
-                    gamma=self.tracer.take_gamma(entry),
-                    class_rank=rank,
-                    demand=demand,
-                    requests=tuple(
-                        self.tracer.rid(request) for request in entry.requests
-                    ),
-                    corrupted=corrupted,
-                )
-            )
-        self.pool.release(rank, demand)
-        if corrupted:
-            # Server-side ARQ: the air time is lost; expired requests
-            # renege, the rest re-enter the queue for another attempt.
-            for request in entry.requests:
-                pending = self._pending.get(id(request))
-                if pending is None:
-                    continue
-                if pending.expired:
-                    self.ledger.finish(
-                        "timed_out", request.class_rank, from_flight=True
-                    )
-                    if self.tracer is not None:
-                        self._emit_lifecycle(RequestReneged, request)
-                    self._resolve(
-                        pending, RequestOutcome(status="timed_out", http=504)
-                    )
-                else:
-                    self.ledger.requeue(1)
-                    self.queue.add(request)
-            self._emit_queue_length()
-            return True
-        for request in entry.requests:
-            self._finish_served(request, via_push=False, from_flight=True, now=now)
-        self.pull_scheduler.observe_service(entry, now)
+        if grant is not DROPPED:
+            entry = grant[0]
+            self.ledger.start_flight(entry.num_requests)
+            kernel.pull_tx_started += 1
+            kernel.active_pull_transmissions += 1
+            started = self.clock.now()
+            await asyncio.sleep(entry.length * self.config.time_scale)
+            kernel._complete_pull(*grant, started, self.clock.now())
         return True
-
-    def _finish_served(
-        self, request: Request, via_push: bool, from_flight: bool, now: float
-    ) -> None:
-        pending = self._pending.get(id(request))
-        if pending is None:
-            return
-        delay = now - request.time
-        self.ledger.finish("served", request.class_rank, from_flight=from_flight)
-        if self.control is not None:
-            self.control.note_delay(request.class_rank, delay)
-        if self.tracer is not None:
-            self.tracer.emit(
-                RequestSatisfied(
-                    time=now,
-                    req=self.tracer.rid(request),
-                    item_id=request.item_id,
-                    class_rank=request.class_rank,
-                    via_push=via_push,
-                    delay=delay,
-                )
-            )
-        self._resolve(
-            pending,
-            RequestOutcome(status="served", http=200, delay=delay, via_push=via_push),
-        )
-
-    def _downlink_lost(self) -> bool:
-        if self.config.downlink_loss <= 0:
-            return False
-        return bool(self._downlink_rng.random() < self.config.downlink_loss)
-
-    # -- live reconfiguration (closed-loop control) --------------------------------
-    # The wall-clock twins of HybridServer.reconfigure_* — called from the
-    # monitor loop between admission decisions, never mid-transmission
-    # (an on-air transfer holds its entry outside the queue already, so
-    # migrating the split cannot touch it).
-    def reconfigure_cutoff(self, new_cutoff: int) -> None:
-        """Move the push/pull split live, migrating queued work across it.
-
-        Requests for items that cross to the push side park as push
-        waiters; parked waiters whose items cross to the pull side join
-        the pull queue.  Both populations count as ``queued`` in the
-        ledger, so conservation holds through the migration.
-        """
-        if not 0 <= new_cutoff <= len(self.catalog):
-            raise ValueError(
-                f"new_cutoff {new_cutoff} outside [0, {len(self.catalog)}]"
-            )
-        if new_cutoff == self.cutoff:
-            return
-        old_cutoff = self.cutoff
-        self.cutoff = new_cutoff
-        self.push_scheduler = make_push_scheduler(
-            self.config.hybrid.push_scheduler, self.catalog, new_cutoff
-        )
-        if new_cutoff > old_cutoff:
-            for item_id in [e.item_id for e in self.queue if e.item_id < new_cutoff]:
-                entry = self.queue.pop(item_id)
-                self._push_waiters.setdefault(item_id, []).extend(entry.requests)
-        else:
-            for item_id in [i for i in self._push_waiters if i >= new_cutoff]:
-                for request in self._push_waiters.pop(item_id):
-                    self.queue.add(request)
-        self._emit_queue_length()
-        self._wake()
-
-    def reconfigure_alpha(self, new_alpha: float) -> None:
-        """Retune Eq. 1's α live and rebuild the queue's score index."""
-        set_alpha = getattr(self.pull_scheduler, "set_alpha", None)
-        if set_alpha is None:
-            raise ValueError(
-                f"pull scheduler {self.config.hybrid.pull_scheduler!r} "
-                "has no alpha knob"
-            )
-        set_alpha(new_alpha)
-        if self.queue.indexed_for(self.pull_scheduler):
-            self.queue.attach_scorer(self.pull_scheduler)
-
-    def reconfigure_bandwidth(self, capacities: list[float]) -> None:
-        """Swap the per-class bandwidth capacities (in-use ledger intact)."""
-        self.pool.reconfigure(capacities)
 
     # -- monitor / timelines --------------------------------------------------------
     async def _monitor(self) -> None:
@@ -703,7 +569,8 @@ class SchedulerCore:
             now = self.clock.now()
             occupancy = len(self.queue) / self.config.ingress_capacity
             level = self.brownout.observe(occupancy)
-            self._emit_queue_length()
+            if self.tracer is not None:
+                self.kernel._emit_queue_length(now)
             if self.health.state is HealthState.READY and level > 0:
                 self.health.transition(HealthState.BROWNOUT, now)
             elif self.health.state is HealthState.BROWNOUT and level == 0:
@@ -755,8 +622,8 @@ class SchedulerCore:
         """The ``/metrics`` JSON payload."""
         pool = {
             name: {
-                "capacity": self.pool.capacity(rank),
-                "in_use": self.pool.in_use(rank),
+                "capacity": self.kernel.pool.capacity(rank),
+                "in_use": self.kernel.pool.in_use(rank),
             }
             for rank, name in enumerate(self.config.hybrid.class_names())
         }

@@ -1,4 +1,4 @@
-"""The paper's server policy, written once for every simulation engine.
+"""The paper's server policy, written once for every engine and the service.
 
 :class:`PolicyKernel` is the Figure-1 server without a clock of its own:
 request admission (the overload gate and capacity shedding), push
@@ -11,11 +11,12 @@ their per-event delivery would have; only the public surface, which
 uplinks, client fronts and the control plane call without a time, reads
 it from the driver's ``env``.
 
-The engines are subclasses that only move time — generator processes
-(:class:`~repro.sim.server.HybridServer`) or callback records
-(:class:`~repro.sim.fastpath.FastHybridServer`) — and supply three
-hooks: ``_start`` (set up the service loop), ``_wake`` (resume an idle
-one) and ``_next_demand`` (the next bandwidth demand).
+The drivers are subclasses that only move time — generator processes
+(:class:`~repro.sim.server.HybridServer`), callback records
+(:class:`~repro.sim.fastpath.FastHybridServer`) or asyncio sleeps on the
+live service's clock (:class:`~repro.service.core.SchedulerCore`) — and
+supply three hooks: ``_start`` (set up the service loop), ``_wake``
+(resume an idle one) and ``_next_demand`` (the next bandwidth demand).
 
 The one real difference between the engines is how pending requests are
 held — a *pending store* chosen by the driver's ``store_cls``:
