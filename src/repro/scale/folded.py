@@ -22,23 +22,25 @@ moments, mirroring the reference collector's warm-up window.
 
 :class:`FoldedStore` is the population engine's pending store behind
 :class:`~repro.sim.policy.PolicyKernel`: pull entries, push waiters and
-every admitted group are folded entries, and its drain loop folds the
-struct-of-arrays blocks of
-:class:`~repro.workload.population.PopulationArrivals` without creating
-a ``Request`` (unless a bounded queue, overload control or an observer
-needs one per arrival).
+every admitted group are folded entries.  Each drain folds its buffered
+:class:`~repro.workload.population.PopulationArrivals` numpy arrays with
+vectorised ufuncs, bit-identical to folding them one at a time and
+without creating a ``Request`` (unless a bounded queue, overload control
+or an observer needs one per arrival).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, cast
+
+import numpy as np
 
 from ..schedulers.base import PendingEntry
 from ..workload.arrivals import Request
 from ..workload.items import Item
-from ..workload.population import AGGREGATE_CLIENT, PopulationArrivals
+from ..workload.population import AGGREGATE_CLIENT, Block, PopulationArrivals
 
 if TYPE_CHECKING:
     from ..sim.policy import PolicyKernel
@@ -178,153 +180,147 @@ class FoldedStore:
         self.sealed: dict[int, FoldedEntry] = {}
         self.on_air = -1
         self.on_air_started = 0.0
-        # Buffered aggregated arrivals (struct-of-arrays blocks).
+        # Buffered aggregated arrivals: the undrained tail of the block.
         self._source: Optional[PopulationArrivals] = None
-        self._times: list[float] = []
-        self._items: list[int] = []
-        self._ranks: list[int] = []
-        self._index = 0
+        self._tail: Block = (np.empty(0), np.empty(0, np.intp), np.empty(0, np.intp))
         self.next_arrival = math.inf
         self._draining = False
+        self._priority_of_rank = np.array(self.priorities)
 
     # -- arrivals ----------------------------------------------------------------
     def attach(self, arrivals: PopulationArrivals) -> None:
         """Drain ``arrivals`` blocks in-line, as ``RequestStore.attach`` does."""
         self._source = arrivals
-        self._times, self._items, self._ranks = arrivals.next_block()
-        self._index = 0
-        self.next_arrival = self._times[0]
+        self._tail = arrivals.next_block()
+        self.next_arrival = float(self._tail[0][0])
 
     def drain(self, now: float) -> None:
-        """Fold every buffered arrival with timestamp ``<= now``."""
-        if self._draining:
-            return
-        nxt = self.next_arrival
-        if nxt > now:
+        """Fold every buffered arrival with timestamp ``<= now``.
+
+        With no admission gate and no arrival observer nothing can act
+        between two arrivals, so they fold at once (:meth:`_fold_arrivals`);
+        otherwise each one goes through the kernel's per-request path.
+        """
+        if self._draining or self.next_arrival > now:
             return
         kernel = self.kernel
         self._draining = True
         try:
-            times = self._times
-            items = self._items
-            ranks = self._ranks
-            i = self._index
-            src = self._source
-            block_len = len(times)
+            pieces = self._take(now)
             if not kernel._gated and not kernel.observers:
-                # Tight loop, mirroring the per-request store's inlined
-                # drain (keep in sync with policy.py / monitor.py): queue
-                # dicts, ``mark_changed`` and the queue-length integrator
-                # are hoisted into locals; arrival counters accumulate per
-                # rank and write back once.  Folding is inlined too — one
-                # method call per arrival would be the dominant cost at
-                # 1e6 clients.
-                metrics = self.metrics
-                warmup = metrics.warmup
-                catalog = self.catalog
-                cutoff = kernel.cutoff
-                priorities = self.priorities
-                num_classes = self.num_classes
-                push_open = self.open
-                by_rank_measured = [0] * num_classes
-                by_rank_total = [0] * num_classes
-                queue = self.queue
-                entries = queue._entries
-                mark_changed = queue.mark_changed
-                added = 0
-                tw = metrics.queue_length
-                area = tw._area
-                last_t = tw._last_time
-                level = tw._level
-                peak = tw._max
-                while nxt <= now:
-                    item_id = items[i]
-                    rank = ranks[i]
-                    i += 1
-                    if i == block_len:
-                        times, items, ranks = src.next_block()
-                        block_len = len(times)
-                        i = 0
-                    by_rank_total[rank] += 1
-                    measured = nxt >= warmup
-                    if measured:
-                        by_rank_measured[rank] += 1
-                    if item_id < cutoff:
-                        group = push_open.get(item_id)
-                        if group is None:
-                            group = FoldedEntry.create(catalog[item_id], num_classes, nxt)
-                            push_open[item_id] = group
-                        group.num_requests += 1
-                        group.total_priority += priorities[rank]
-                        if measured:
-                            group.counts[rank] += 1
-                            group.sum_t[rank] += nxt
-                            group.sum_t2[rank] += nxt * nxt
-                            if nxt < group.min_t[rank]:
-                                group.min_t[rank] = nxt
-                            if nxt > group.max_t[rank]:
-                                group.max_t[rank] = nxt
-                        else:
-                            group.unmeasured[rank] += 1
-                    else:
-                        entry = entries.get(item_id)
-                        if entry is None:
-                            entry = FoldedEntry.create(catalog[item_id], num_classes, nxt)
-                            entries[item_id] = entry
-                        entry.num_requests += 1
-                        entry.total_priority += priorities[rank]
-                        if measured:
-                            entry.counts[rank] += 1
-                            entry.sum_t[rank] += nxt
-                            entry.sum_t2[rank] += nxt * nxt
-                            if nxt < entry.min_t[rank]:
-                                entry.min_t[rank] = nxt
-                            if nxt > entry.max_t[rank]:
-                                entry.max_t[rank] = nxt
-                        else:
-                            entry.unmeasured[rank] += 1
-                        added += 1
-                        mark_changed(item_id)
-                        if nxt < last_t:
-                            raise ValueError(f"time ran backwards: {nxt} < {last_t}")
-                        area += level * (nxt - last_t)
-                        last_t = nxt
-                        level = float(len(entries))
-                        if level > peak:
-                            peak = level
-                    nxt = times[i]
-                tw._area = area
-                tw._last_time = last_t
-                tw._level = level
-                tw._max = peak
-                queue._total_requests += added
-                for rank in range(num_classes):
-                    total = by_rank_total[rank]
-                    if total:
-                        metrics.record_arrivals_folded(rank, by_rank_measured[rank], total)
-            else:
-                priorities = self.priorities
-                while nxt <= now:
-                    rank = ranks[i]
-                    request = Request(
-                        time=nxt,
-                        item_id=items[i],
-                        client_id=AGGREGATE_CLIENT,
-                        class_rank=rank,
-                        priority=priorities[rank],
-                    )
-                    i += 1
-                    if i == block_len:
-                        times, items, ranks = src.next_block()
-                        block_len = len(times)
-                        i = 0
-                    kernel._arrive(request, nxt)
-                    nxt = times[i]
-            self._times, self._items, self._ranks = times, items, ranks
-            self._index = i
-            self.next_arrival = nxt
+                self._fold_arrivals(pieces)
+                return
+            for piece in pieces:
+                for t, item_id, rank in zip(*(array.tolist() for array in piece)):
+                    request = Request(t, item_id, AGGREGATE_CLIENT, rank, self.priorities[rank])
+                    kernel._arrive(request, t)
         finally:
             self._draining = False
+
+    def _take(self, now: float) -> Iterator[Block]:
+        """Remove and yield the buffered arrivals ``<= now``, one block at a time."""
+        source = self._source
+        assert source is not None
+        times, items, ranks = self._tail
+        while times[-1] <= now:
+            yield times, items, ranks
+            # Used up: the next block continues the clock.
+            times, items, ranks = source.next_block()
+        stop = int(times.searchsorted(now, "right"))
+        self._tail = (times[stop:], items[stop:], ranks[stop:])
+        self.next_arrival = float(times[stop])
+        if stop:
+            yield times[:stop], items[:stop], ranks[:stop]
+
+    def _fold_arrivals(self, pieces: Iterator[Block]) -> None:
+        """Fold one drain's arrivals, in time order, into their groups.
+
+        The vectorised :meth:`FoldedEntry.fold` per arrival plus
+        ``TimeWeighted.set`` per pull arrival (keep in sync with both), and
+        bit-identical to them: ``np.add.at`` and ``np.add.accumulate`` add
+        in index order (``np.sum`` or a float ``bincount`` would not), counts
+        are integers and ``min``/``max`` exact.  A group's state is gathered
+        when a block first touches it and scattered back once per drain, with
+        the arrival counters; new groups open in first-arrival order, keeping
+        dict order; per-arrival arrays never outgrow a block.
+        """
+        nc, cutoff = self.num_classes, self.kernel.cutoff
+        metrics, queue, catalog = self.metrics, self.queue, self.catalog
+        entries = cast("dict[int, FoldedEntry]", queue._entries)
+        # By group slot: counts, unmeasured; sum_t, sum_t2, min_t, max_t.
+        slot_of = np.full(len(catalog), -1)
+        ints = np.empty((len(catalog), 2 * nc), dtype=np.int64)
+        moments = np.empty((len(catalog), 4 * nc))
+        priority = np.empty(len(catalog))
+        added = np.zeros(len(catalog), dtype=np.int64)
+        booked = np.zeros((2, nc), dtype=np.int64)
+        groups: list[FoldedEntry] = []
+        int_flat, moment_flat = ints.reshape(-1), moments.reshape(-1)
+        tw = metrics.queue_length
+        for times, items, ranks in pieces:
+            # The groups this block touches first, in first-arrival order.
+            n, level, touched = len(times), len(entries), len(groups)
+            first = np.full(len(catalog), n)
+            np.minimum.at(first, items, np.arange(n))
+            fresh = np.flatnonzero((first < n) & (slot_of < 0))
+            fresh = fresh[first[fresh].argsort()]
+            opened = np.zeros(n, dtype=bool)
+            for item_id, start in zip(fresh.tolist(), first[fresh].tolist()):
+                pending = self.open if item_id < cutoff else entries
+                group = pending.get(item_id)
+                if group is None:
+                    group = FoldedEntry.create(catalog[item_id], nc, float(times[start]))
+                    pending[item_id] = group
+                    opened[start] = item_id >= cutoff
+                if item_id >= cutoff:
+                    queue.mark_changed(item_id)
+                groups.append(group)
+            if len(fresh):
+                new = slice(touched, len(groups))
+                slot_of[fresh] = np.arange(touched, len(groups))
+                ints[new] = [g.counts + g.unmeasured for g in groups[new]]
+                moments[new] = [g.sum_t + g.sum_t2 + g.min_t + g.max_t for g in groups[new]]
+                priority[new] = [g.total_priority for g in groups[new]]
+            slots = slot_of[items]
+            warm = int(times.searchsorted(metrics.warmup))
+            pulled = items >= cutoff
+            if pulled.any():
+                # The queue-length integral steps at every pull arrival.
+                levels = np.concatenate(([tw._level], level + np.cumsum(opened[pulled])))
+                clock = np.concatenate(([tw._last_time], times[pulled]))
+                gaps = np.diff(clock)
+                if (gaps < 0).any():
+                    k = np.flatnonzero(gaps < 0)[0]
+                    raise ValueError(f"time ran backwards: {clock[k + 1]} < {clock[k]}")
+                area = np.add.accumulate(np.concatenate(([tw._area], levels[:-1] * gaps)))
+                tw._area, tw._last_time = float(area[-1]), float(clock[-1])
+                tw._level = float(levels[-1])
+                tw._max = max(tw._max, tw._level)
+                queue._total_requests += len(gaps)
+            cells = slots * (2 * nc) + ranks
+            cells[:warm] += nc
+            int_flat += np.bincount(cells, minlength=int_flat.size)
+            cells, t = (slots * (4 * nc) + ranks)[warm:], times[warm:]
+            np.add.at(moment_flat, cells, t)
+            np.add.at(moment_flat, cells + nc, t * t)
+            np.minimum.at(moment_flat, cells + 2 * nc, t)
+            np.maximum.at(moment_flat, cells + 3 * nc, t)
+            np.add.at(priority, slots, self._priority_of_rank[ranks])
+            added += np.bincount(slots, minlength=len(catalog))
+            booked += (np.bincount(ranks, minlength=nc), np.bincount(ranks[warm:], minlength=nc))
+        rows = len(groups)
+        ints, moments = ints[:rows].reshape(-1, 2, nc), moments[:rows].reshape(-1, 4, nc)
+        for group, count, total, (counts, unmeasured), state in zip(
+            groups, added[:rows].tolist(), priority[:rows].tolist(), ints.tolist(), moments.tolist()
+        ):
+            group.num_requests += count
+            group.total_priority = total
+            group.counts, group.unmeasured = counts, unmeasured
+            group.sum_t, group.sum_t2, group.min_t, group.max_t = state
+        arrived, measured = booked.tolist()
+        for rank, total in enumerate(arrived):
+            if total:
+                metrics.record_arrivals_folded(rank, measured[rank], total)
 
     def record_arrival(self, request: Request) -> None:
         """Count one submitted request."""

@@ -24,8 +24,8 @@ held — a *pending store* chosen by the driver's ``store_cls``:
 :class:`~repro.scale.folded.FoldedStore` keeps per-class
 :class:`~repro.scale.folded.FoldedEntry` counters (the population
 engine, :class:`~repro.scale.server.PopulationHybridServer`).  Each
-store also owns the inlined drain loop for its own buffered arrival
-format.
+store also drains its own buffered arrival format: :class:`RequestStore`
+in an inlined per-request loop, ``FoldedStore`` in a vectorised fold.
 """
 
 from __future__ import annotations

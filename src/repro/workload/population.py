@@ -22,8 +22,8 @@ population size ``N`` — the workload for ``N = 10M`` costs the same to set
 up as ``N = 300``.  Only the aggregate rate grows with ``N``.
 
 Like :class:`BatchedArrivals`, generation is chunked numpy blocks; the
-struct-of-arrays view (:meth:`next_block`) feeds the population engine's
-scalar drain loop without building ``Request`` objects at all, while
+struct-of-arrays view (:meth:`next_block`) hands numpy arrays to the
+population engine's vectorised fold without any ``Request`` objects, while
 :meth:`next_chunk` / ``__iter__`` keep the generic ``Request`` API for
 tests and the reference driver.
 """
@@ -33,12 +33,16 @@ from __future__ import annotations
 from typing import Iterator
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .arrivals import Request
 from .clients import ClientPopulation
 from .items import ItemCatalog
 
 __all__ = ["PopulationArrivals"]
+
+#: One block of aggregated arrivals: ``(times, item_ids, class_ranks)``.
+Block = tuple[NDArray[np.float64], NDArray[np.intp], NDArray[np.intp]]
 
 #: Sentinel client id carried by aggregated requests — no concrete client
 #: exists, only a class label.
@@ -117,13 +121,13 @@ class PopulationArrivals:
         )
 
     # -- generation --------------------------------------------------------------
-    def next_block(self) -> tuple[list[float], list[int], list[int]]:
-        """Next ``chunk_size`` arrivals as parallel plain-Python lists.
+    def next_block(self) -> Block:
+        """Next ``chunk_size`` arrivals as parallel numpy arrays.
 
-        Returns ``(times, item_ids, class_ranks)`` in time order.  This is
-        the struct-of-arrays view the population engine drains directly —
-        no ``Request`` objects, no client ids.  Priorities are a pure
-        function of rank (``population.priorities[rank]``).
+        Returns ``(times, item_ids, class_ranks)`` in time order, continuing
+        the previous block's clock: the struct-of-arrays view the population
+        engine folds directly — no ``Request`` objects, no client ids.
+        Priorities are a pure function of rank (``population.priorities[rank]``).
         """
         n = self.chunk_size
         rng = self.rng
@@ -137,7 +141,7 @@ class PopulationArrivals:
             np.searchsorted(self._class_cdf, rng.random(n), side="right"),
             self._num_classes - 1,
         )
-        return times.tolist(), item_ids.tolist(), ranks.tolist()
+        return times, item_ids, ranks
 
     def next_chunk(self) -> list[Request]:
         """Next ``chunk_size`` arrivals as ``Request`` objects.
@@ -155,7 +159,7 @@ class PopulationArrivals:
                 class_rank=k,
                 priority=priority[k],
             )
-            for t, i, k in zip(times, item_ids, ranks)
+            for t, i, k in zip(times.tolist(), item_ids.tolist(), ranks.tolist())
         ]
 
     def __iter__(self) -> Iterator[Request]:
