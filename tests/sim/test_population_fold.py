@@ -45,7 +45,7 @@ SCENARIOS = {
 
 
 def _same(left, right) -> bool:
-    """Exact equality, with NaN (an empty class's statistic) equal to NaN."""
+    """Exact equality of value and type, with NaN (an empty class's statistic) equal to NaN."""
     if dataclasses.is_dataclass(left) and not isinstance(left, type):
         return type(left) is type(right) and all(
             _same(getattr(left, f.name), getattr(right, f.name))
@@ -53,6 +53,12 @@ def _same(left, right) -> bool:
         )
     if isinstance(left, Mapping):
         return list(left) == list(right) and all(_same(left[k], right[k]) for k in left)
+    if isinstance(left, (list, tuple)):
+        return (
+            type(left) is type(right)
+            and len(left) == len(right)
+            and all(_same(a, b) for a, b in zip(left, right))
+        )
     if isinstance(left, float) and isinstance(right, float):
         return left == right or (math.isnan(left) and math.isnan(right))
     return type(left) is type(right) and left == right
