@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import lil_matrix
-from scipy.sparse.linalg import spsolve
 
 __all__ = ["HybridBirthDeathChain", "BirthDeathSolution"]
 
@@ -157,6 +155,9 @@ class HybridBirthDeathChain:
             raise ValueError(
                 f"unstable chain: rho + rho/f = {self.total_load:.4f} >= 1"
             )
+        from scipy.sparse import lil_matrix
+        from scipy.sparse.linalg import spsolve
+
         C = self.truncation
         n = 2 * C + 1
         Q = lil_matrix((n, n))

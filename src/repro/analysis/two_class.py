@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import lil_matrix
-from scipy.sparse.linalg import spsolve
 
 __all__ = ["TwoClassPriorityQueue", "TwoClassSolution"]
 
@@ -76,6 +74,9 @@ class TwoClassPriorityQueue:
 
     def solve(self) -> TwoClassSolution:
         """Stationary distribution via sparse direct solve."""
+        from scipy.sparse import lil_matrix
+        from scipy.sparse.linalg import spsolve
+
         C = self.truncation
         valid: list[tuple[int, int, int]] = [(0, 0, 0)]
         for m in range(C + 1):

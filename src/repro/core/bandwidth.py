@@ -23,7 +23,6 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as _sstats
 
 from .config import HybridConfig
 
@@ -47,7 +46,9 @@ def poisson_tail(mean: float, capacity: float) -> float:
         return 1.0
     if mean == 0:
         return 0.0
-    return float(_sstats.poisson.sf(math.floor(capacity), mean))
+    from scipy import stats
+
+    return float(stats.poisson.sf(math.floor(capacity), mean))
 
 
 def blocking_probabilities(

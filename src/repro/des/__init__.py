@@ -34,7 +34,6 @@ from .resources import (
     Store,
 )
 from .rng import RandomStreams, stable_key
-from .warmup import MSERResult, mser_truncation, suggest_warmup
 
 __all__ = [
     "Environment",
@@ -71,7 +70,4 @@ __all__ = [
     "TimeWeighted",
     "Counter",
     "batch_means_ci",
-    "MSERResult",
-    "mser_truncation",
-    "suggest_warmup",
 ]

@@ -11,9 +11,19 @@ import math
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy import stats as _sstats
 
-__all__ = ["Tally", "TimeWeighted", "Counter", "batch_means_ci"]
+__all__ = ["Tally", "TimeWeighted", "Counter", "batch_means_ci", "t_quantile"]
+
+
+def t_quantile(level: float, dof: int) -> float:
+    """Two-sided Student-t critical value for a ``level`` interval.
+
+    scipy is imported here, on first use, so that a simulation run, which
+    never asks for an interval, does not load it.
+    """
+    from scipy import stats
+
+    return float(stats.t.ppf(0.5 + level / 2.0, dof))
 
 
 class Tally:
@@ -168,7 +178,7 @@ class Tally:
         """
         if self._n < 2:
             return (math.nan, math.nan)
-        half = _sstats.t.ppf(0.5 + level / 2.0, self._n - 1) * self.std / math.sqrt(self._n)
+        half = t_quantile(level, self._n - 1) * self.std / math.sqrt(self._n)
         return (self._mean - half, self._mean + half)
 
     def merge(self, other: "Tally") -> "Tally":
@@ -332,5 +342,5 @@ def batch_means_ci(
     batches = x[:usable].reshape(n_batches, -1).mean(axis=1)
     mean = float(batches.mean())
     sd = float(batches.std(ddof=1))
-    half = float(_sstats.t.ppf(0.5 + level / 2.0, n_batches - 1)) * sd / math.sqrt(n_batches)
+    half = t_quantile(level, n_batches - 1) * sd / math.sqrt(n_batches)
     return (mean, mean - half, mean + half)

@@ -14,9 +14,12 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable, Sequence, TypeVar
 
-_T = TypeVar("_T")
-
+# numpy imports numpy.random on first attribute access.  Every run draws
+# from it, so it loads with repro, not inside a system build or timed run.
 import numpy as np
+import numpy.random  # noqa: F401
+
+_T = TypeVar("_T")
 
 __all__ = ["RandomStreams", "stable_key"]
 

@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import json
 import platform
-import sys
 import time
 from pathlib import Path
 from typing import Optional, Sequence
@@ -42,16 +41,19 @@ def config_hash(config) -> str:
 
 
 def package_versions() -> dict[str, str]:
-    """Versions of the packages whose behaviour shapes results."""
+    """Versions of the packages whose behaviour shapes results.
+
+    Read from the installed distributions' metadata, so that writing a
+    manifest does not import scipy.
+    """
+    from importlib import metadata
+
     versions: dict[str, str] = {"python": platform.python_version()}
     for name in ("numpy", "scipy"):
-        module = sys.modules.get(name)
-        if module is None:
-            try:
-                module = __import__(name)
-            except ImportError:  # pragma: no cover - both are hard deps
-                continue
-        versions[name] = getattr(module, "__version__", "unknown")
+        try:
+            versions[name] = metadata.version(name)
+        except metadata.PackageNotFoundError:  # pragma: no cover - both are hard deps
+            pass
     try:
         from .. import __version__ as repro_version
 

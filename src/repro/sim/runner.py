@@ -24,6 +24,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from ..core.config import HybridConfig
+from ..des.monitor import t_quantile
 from .metrics import SimulationResult
 from .parallel import ParallelExecutor
 from .server import PullMode
@@ -176,18 +177,12 @@ def _replication_task(task: tuple) -> SimulationResult:
 
 def _mean_ci(values: Sequence[float], level: float = 0.95) -> tuple[float, float]:
     """Mean and half-width of a Student-t CI, ignoring NaNs."""
-    # Lazy import: only CI aggregation needs scipy, so pool workers (which
-    # only simulate) and simulation-only users never pay its import cost.
-    from scipy import stats as _sstats
-
     x = np.asarray([v for v in values if not math.isnan(v)], dtype=float)
     if x.size == 0:
         return (math.nan, math.nan)
     if x.size == 1:
         return (float(x[0]), math.nan)
-    half = float(
-        _sstats.t.ppf(0.5 + level / 2.0, x.size - 1) * x.std(ddof=1) / math.sqrt(x.size)
-    )
+    half = float(t_quantile(level, x.size - 1) * x.std(ddof=1) / math.sqrt(x.size))
     return (float(x.mean()), half)
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .zipf import zipf_probabilities
 
@@ -97,10 +96,17 @@ def calibrate_geometric(mean: float, support: Sequence[int]) -> float:
             f"target mean {mean} must lie strictly in ({lo}, {hi}) for support {list(support)}"
         )
 
-    def gap(p: float) -> float:
-        return float(truncated_geometric_pmf(p, support) @ support_arr) - mean
-
-    return float(optimize.brentq(gap, 1e-9, 1 - 1e-9))
+    # The mean falls as p grows.  Bisect until no double lies strictly
+    # inside the bracket; ordering tests alone decide every step.
+    below, above = 1e-9, 1 - 1e-9
+    while True:
+        p = 0.5 * (below + above)
+        if not below < p < above:
+            return p
+        if truncated_geometric_pmf(p, support) @ support_arr > mean:
+            below = p
+        else:
+            above = p
 
 
 @dataclass

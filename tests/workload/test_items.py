@@ -7,6 +7,7 @@ from repro.workload import (
     Item,
     ItemCatalog,
     calibrate_geometric,
+    items,
     truncated_geometric_pmf,
     zipf_probabilities,
 )
@@ -51,6 +52,40 @@ class TestLengthLaw:
         # decreasing geometric law.
         with pytest.raises(ValueError):
             calibrate_geometric(3.0, [1, 2, 3, 4, 5])
+
+
+def brentq_calibration(mean, support):
+    """The calibration as it was before the bisection: scipy's Brent solver."""
+    from scipy import optimize
+
+    support_arr = np.asarray(support, dtype=float)
+
+    def gap(p):
+        return float(truncated_geometric_pmf(p, support) @ support_arr) - mean
+
+    return float(optimize.brentq(gap, 1e-9, 1 - 1e-9))
+
+
+class TestCalibrationMatchesBrentq:
+    @pytest.mark.parametrize(
+        "mean,support",
+        [(2.0, [1, 2, 3, 4, 5]), (1.5, [1, 2, 3, 4, 5]), (2.9, [1, 2, 3, 4, 5]),
+         (3.0, list(range(1, 11))), (1.5, [1, 2, 3])],
+    )
+    def test_same_root(self, mean, support):
+        p = calibrate_geometric(mean, support)
+        assert abs(p - brentq_calibration(mean, support)) <= 1e-12
+
+    @pytest.mark.parametrize("num_items", [100, 1500])
+    def test_same_default_law_lengths(self, num_items, monkeypatch):
+        def lengths(length_seed):
+            rng = np.random.Generator(np.random.PCG64(length_seed))
+            return ItemCatalog.generate(num_items=num_items, rng=rng).lengths.tolist()
+
+        seeds = range(25)
+        bisected = [lengths(seed) for seed in seeds]
+        monkeypatch.setattr(items, "calibrate_geometric", brentq_calibration)
+        assert bisected == [lengths(seed) for seed in seeds]
 
 
 class TestCatalogGeneration:
