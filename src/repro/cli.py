@@ -267,7 +267,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         default="reference",
         help=(
             "simulation core: the generator-process reference engine, the "
-            "flat-calendar fast engine (statistically equivalent, ~3x faster; "
+            "flat-calendar fast engine (statistically equivalent, ~2x faster; "
             "see docs/performance.md), or the population-aggregated engine "
             "for million-client scenarios (see docs/scale.md)"
         ),

@@ -108,8 +108,10 @@ class MetricsWindower:
         self._windows_seen = 0
 
     def observe(self) -> WindowObservation:
-        """One window: difference the tallies since the previous call."""
-        collector = self.system.metrics
+        """One window (buffered arrivals admitted first): difference the tallies."""
+        system = self.system
+        system.server.store.drain(system.env.now)
+        collector = system.metrics
         classes: list[tuple[str, ClassWindow]] = []
         for name in self._names:
             now_delay = _tally_moments(collector.delay_by_class[name])
@@ -137,7 +139,7 @@ class MetricsWindower:
             self._prev_counts[name] = (arrivals_now, blocked_now)
         obs = WindowObservation(
             window=self._windows_seen,
-            time=float(self.system.env.now),
+            time=float(system.env.now),
             classes=tuple(classes),
         )
         self._windows_seen += 1

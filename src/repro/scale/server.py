@@ -44,4 +44,11 @@ class PopulationHybridServer(FastHybridServer):
     """
 
     store_cls = FoldedStore
-    engine_name = "population"
+
+    def _start(self) -> None:
+        if self.tracer is not None or self.profiler is not None:
+            raise ValueError(
+                "the population engine does not support tracing or phase "
+                "profiling; run with engine='reference' or 'fast'"
+            )
+        super()._start()

@@ -8,7 +8,7 @@ helpers for confidence intervals.
 
 from .adaptive import AdaptiveCutoffController, CutoffDecision, build_adaptive_system
 from .bandwidth_pool import BandwidthPool
-from .client import FaultAwareFront, drive_arrivals, drive_trace
+from .client import FaultAwareFront, drive_arrivals
 from .faults import (
     ConservationWatchdog,
     FaultConfig,
@@ -38,7 +38,6 @@ __all__ = [
     "build_adaptive_system",
     "BandwidthPool",
     "drive_arrivals",
-    "drive_trace",
     "FaultAwareFront",
     "FaultConfig",
     "FaultInjector",

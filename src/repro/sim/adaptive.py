@@ -162,7 +162,8 @@ class AdaptiveCutoffController:
         )
 
     def decide(self) -> CutoffDecision:
-        """Evaluate all candidates and (maybe) reconfigure the server."""
+        """Admit buffered arrivals, evaluate all candidates, maybe reconfigure."""
+        self.server.store.drain(self.env.now)
         catalog = self._estimated_catalog()
         rate = self.estimated_rate()
         scores = {

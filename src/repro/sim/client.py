@@ -3,9 +3,9 @@
 The entire client population is modelled by one aggregate Poisson arrival
 process (`repro.workload.ArrivalProcess`) feeding the server's uplink —
 statistically identical to per-client independent Poisson sources, and
-exactly the paper's arrival assumption.  A trace-replay driver is also
-provided so identical request sequences can be replayed against different
-scheduling policies.
+exactly the paper's arrival assumption.  The same driver replays a
+recorded trace, so identical request sequences can be replayed against
+different scheduling policies.
 
 When the fault layer is armed, requests flow through a
 :class:`FaultAwareFront` that adds the client-side recovery behaviour of
@@ -19,17 +19,17 @@ queue.
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 from ..core.faults import FaultConfig
 from ..des import Environment, RandomStreams
 from ..obs.events import RequestRetried
-from ..workload.arrivals import ArrivalProcess, Request
-from ..workload.trace import RequestTrace
+from ..workload.arrivals import Request
 from .metrics import MetricsCollector
 from .server import HybridServer  # noqa: F401 - canonical submit target
 from .uplink import UplinkChannel
 
-__all__ = ["FaultAwareFront", "drive_arrivals", "drive_trace"]
+__all__ = ["FaultAwareFront", "drive_arrivals"]
 
 
 class FaultAwareFront:
@@ -172,36 +172,20 @@ class FaultAwareFront:
         # else: already terminal (abandoned at the uplink) — nothing to do.
 
 
-def drive_arrivals(env: Environment, server, arrivals: ArrivalProcess):
-    """DES process: submit requests from a live Poisson arrival stream.
+def drive_arrivals(env: Environment, server, arrivals: Iterable[Request]):
+    """DES process: submit requests from an arrival source, one event each.
 
-    ``server`` is anything with a ``submit(request)`` method — the
-    HybridServer directly or an uplink front-end.
-
-    Runs forever; bound the simulation with ``env.run(until=horizon)``.
+    ``arrivals`` is any time-ordered iterable of requests — a live Poisson
+    stream, which runs forever (bound the simulation with
+    ``env.run(until=horizon)``), or a replayed
+    :class:`~repro.workload.trace.RequestTrace` for paired comparisons
+    (the same randomness against every scheduler).  ``server`` is
+    anything with a ``submit(request)`` method — the HybridServer
+    directly or an uplink front-end.
     """
 
     def _proc():
-        stream = iter(arrivals)
-        while True:
-            request = next(stream)
-            delay = request.time - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            server.submit(request)
-
-    return env.process(_proc())
-
-
-def drive_trace(env: Environment, server, trace: RequestTrace):
-    """DES process: replay a pre-generated request trace into the server.
-
-    Useful for paired comparisons — the same randomness against every
-    scheduler (common random numbers variance reduction).
-    """
-
-    def _proc():
-        for request in trace.iter_requests():
+        for request in arrivals:
             delay = request.time - env.now
             if delay > 0:
                 yield env.timeout(delay)

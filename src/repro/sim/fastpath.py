@@ -11,11 +11,14 @@ Differences from the reference server, by design:
 
 * Bandwidth demands are pre-drawn in blocks from the same ``"bandwidth"``
   stream (statistically identical, different stream consumption order).
-* With an ideal uplink, arrivals are drained from pre-generated blocks
-  at every point the server touches queue state, instead of one
-  calendar record each (see :meth:`~repro.sim.policy.RequestStore.attach`).
-* Tracing and profiling are **not** supported; use
-  ``engine="reference"`` to record traces.
+* Arrivals come from :class:`~repro.workload.batched.BatchedArrivals`
+  blocks.  With an ideal uplink both drivers drain them the same way, at
+  every point the kernel touches queue state instead of one calendar
+  record each (see :meth:`~repro.sim.policy.RequestStore.attach`).
+
+Tracing and phase profiling run through the kernel as on the reference
+engine; with a tracer installed, the store admits each arrival through
+the kernel's per-request path, which emits its trace events.
 
 :class:`FastArrivalDriver` replaces the ``drive_arrivals`` generator with
 one flat calendar record per arrival, fed by pre-generated chunks from
@@ -57,15 +60,8 @@ class FastHybridServer(PolicyKernel):
     """
 
     env: FastEnvironment
-    #: Engine name used in error messages.
-    engine_name = "fast"
 
     def _start(self) -> None:
-        if self.tracer is not None or self.profiler is not None:
-            raise ValueError(
-                f"the {self.engine_name} engine does not support tracing or "
-                "phase profiling; run with engine='reference'"
-            )
         # Block-drawn Poisson bandwidth demands (same "bandwidth" stream
         # as the reference server, consumed in blocks instead of per
         # service — statistically identical, not bit-identical).

@@ -4,12 +4,12 @@
 request admission (the overload gate and capacity shedding), push
 decode, Eq. 1 pull service with per-class bandwidth admission, pull
 completion with downlink ARQ, the §3 ``reconfigure_*`` hooks with
-pending-work migration, the conservation counters and the reference
-engine's trace emission.  Every decision takes the time it happens at
-(``now``) and first admits the store's buffered arrivals up to it, as
-their per-event delivery would have; only the public surface, which
-uplinks, client fronts and the control plane call without a time, reads
-it from the driver's ``env``.
+pending-work migration, the conservation counters and the trace
+emission of the reference and fast engines.  Every decision takes the
+time it happens at (``now``) and first admits the store's buffered
+arrivals up to it, as their per-event delivery would have; only the
+public surface, which uplinks, client fronts and the control plane call
+without a time, reads it from the driver's ``env``.
 
 The drivers are subclasses that only move time — generator processes
 (:class:`~repro.sim.server.HybridServer`), callback records
@@ -50,7 +50,7 @@ from ..obs.events import (
     RequestShed,
 )
 from ..schedulers.base import PendingEntry, PullQueue, PullScheduler, PushScheduler
-from ..workload.arrivals import Request
+from ..workload.arrivals import ArrivalProcess, Request
 from ..workload.batched import BatchedArrivals
 from ..workload.items import ItemCatalog
 from .bandwidth_pool import BandwidthPool
@@ -91,25 +91,26 @@ class RequestStore:
         self.enqueue = kernel.pull_queue.add
         # Buffered arrival chunks (see attach); ``next_arrival`` is the
         # timestamp of the next undrained one, ``inf`` when none.
-        self._source: Optional[BatchedArrivals] = None
+        self._source: Optional[ArrivalProcess | BatchedArrivals] = None
         self._chunk: list[Request] = []
         self._index = 0
         self.next_arrival = math.inf
         self._draining = False
 
     # -- arrivals ----------------------------------------------------------------
-    def attach(self, arrivals: BatchedArrivals) -> None:
-        """Feed arrivals by draining pre-generated chunks in-line.
+    def attach(self, arrivals: ArrivalProcess | BatchedArrivals) -> None:
+        """Feed arrivals by draining the sampler's chunks in-line.
 
-        Only valid when requests reach the server directly (ideal uplink,
-        no client-recovery front): instead of one calendar record per
-        arrival, :meth:`drain` admits every buffered arrival with
-        timestamp ``<= now`` just before the kernel reads or mutates
-        queue state (push start and decode, select, pull completion,
-        reneging, reconfiguration).  Admission order and timestamps match
-        per-arrival delivery exactly; only the *event count* changes.
-        The system drains up to the horizon once after the run, so
-        arrivals after the last service event are still admitted.
+        Only valid when requests reach the kernel's own ``submit``
+        directly (ideal uplink, no client-recovery front): instead of one
+        calendar record per arrival, :meth:`drain` admits every buffered
+        arrival with timestamp ``<= now`` just before the kernel, or code
+        that reads its state (control windows, cut-off decisions), reads
+        or mutates queue state.  Admission order and timestamps match
+        per-arrival delivery exactly; only the *event count* changes.  A
+        pure-pull loop asleep on an empty queue wakes at
+        :attr:`next_arrival`, and the system drains up to the horizon
+        after the run.
         """
         self._source = arrivals
         self._chunk = arrivals.next_chunk()
@@ -131,12 +132,12 @@ class RequestStore:
             chunk = self._chunk
             i = self._index
             src = self._source
-            if not kernel._gated and not kernel.observers:
-                # Tight loop: no observer can mutate server state
-                # mid-drain, so the queue-length signal and the arrival
-                # counters accumulate in locals — the same float/int
-                # operation sequences TimeWeighted.set / Counter would
-                # run, written back once.  ``PullQueue.add`` is inlined
+            if not kernel._gated and not kernel.observers and kernel.tracer is None:
+                # Tight loop: no gate, observer or tracer acts on one
+                # arrival at a time, so the queue-length signal and the
+                # arrival counters accumulate in locals — the same
+                # float/int operation sequences TimeWeighted.set / Counter
+                # would run, written back once.  ``PullQueue.add`` is inlined
                 # too: the queue's dicts and its ``mark_changed`` are
                 # hoisted once per drain instead of re-derived per call,
                 # and the request-count total is written back at the end

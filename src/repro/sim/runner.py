@@ -75,7 +75,8 @@ def run_single(
     results are bit-identical with tracing on or off.
 
     ``engine="fast"`` selects the flat-calendar fast core (statistically
-    equivalent, not bit-identical; incompatible with ``trace_path``).
+    equivalent, not bit-identical); ``engine="population"`` cannot record
+    a trace.
 
     ``slo`` (a :class:`~repro.control.SLOSpec`) attaches the closed-loop
     controller (:func:`~repro.control.build_controlled_system`) with
@@ -86,8 +87,6 @@ def run_single(
         warmup = 0.1 * horizon
     tracer = None
     if trace_path is not None:
-        if engine != "reference":
-            raise ValueError("trace recording requires engine='reference'")
         from ..obs import TraceRecorder
 
         tracer = TraceRecorder()
@@ -131,6 +130,7 @@ def run_traced(
     pull_mode: PullMode = "serial",
     gamma_snapshots: bool = True,
     profiler=None,
+    engine: Engine = "reference",
 ):
     """Run one replication with in-memory tracing.
 
@@ -138,6 +138,7 @@ def run_traced(
     :class:`~repro.sim.metrics.SimulationResult` plus the recorded
     :class:`~repro.obs.Trace`.  An optional
     :class:`~repro.obs.PhaseProfiler` collects per-phase wall time.
+    ``engine`` is ``"reference"`` or ``"fast"``.
     """
     from ..obs import TraceRecorder
 
@@ -151,6 +152,7 @@ def run_traced(
         pull_mode=pull_mode,
         tracer=tracer,
         profiler=profiler,
+        engine=engine,
     )
     result = system.run(horizon)
     return result, tracer.trace()
@@ -358,8 +360,8 @@ def run_replications(
         raise ValueError(f"num_runs must be >= 1, got {num_runs}")
     if resume and checkpoint_dir is None:
         raise ValueError("resume=True requires checkpoint_dir")
-    if trace_dir is not None and engine != "reference":
-        raise ValueError("trace_dir requires engine='reference'")
+    if trace_dir is not None and engine == "population":
+        raise ValueError("trace_dir requires engine='reference' or 'fast'")
     if checkpoint_dir is not None or resilience is not None:
         if trace_dir is not None:
             raise ValueError(

@@ -33,6 +33,7 @@ The decisions themselves live in :class:`~repro.sim.policy.PolicyKernel`;
 
 from __future__ import annotations
 
+import math
 from typing import Literal
 
 from ..des import Environment
@@ -71,12 +72,22 @@ class HybridServer(PolicyKernel):
             pushed = yield from self._broadcast_next_push()
             served = yield from self._serve_next_pull()
             if not pushed and not served:
-                # Pure-pull system with an empty queue: sleep until the
-                # next request arrives.
-                self._wakeup = self.env.event()
-                if self.pull_queue:
-                    continue
+                yield from self._sleep()
+
+    def _sleep(self):
+        """Pure-pull system with an empty queue: sleep until a request joins it.
+
+        :meth:`_wake` ends the sleep; with buffered arrivals the loop also
+        wakes at the next one, admits it and sleeps on unless it queued.
+        """
+        while not self.pull_queue:
+            self._wakeup = self.env.event()
+            nxt = self.store.next_arrival
+            if nxt == math.inf:
                 yield self._wakeup
+                return
+            yield self._wakeup | self.env.timeout(nxt - self.env.now)
+            self.store.drain(self.env.now)
 
     def _broadcast_next_push(self):
         """Broadcast one push slot; returns True if a slot was transmitted."""

@@ -8,10 +8,9 @@ functions of ``(config, seed)``.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import replace
-from typing import Optional
-
-from typing import Literal
+from typing import Literal, Optional
 
 from ..core.config import HybridConfig
 from ..des import Environment, RandomStreams
@@ -22,10 +21,11 @@ from ..workload.batched import BatchedArrivals
 from ..workload.population import PopulationArrivals
 from ..workload.trace import RequestTrace
 from .bandwidth_pool import BandwidthPool
-from .client import FaultAwareFront, drive_arrivals, drive_trace
+from .client import FaultAwareFront, drive_arrivals
 from .fastpath import FastArrivalDriver, FastHybridServer
 from .faults import ConservationWatchdog, FaultInjector
 from .metrics import MetricsCollector, SimulationResult
+from .policy import PolicyKernel
 from .server import HybridServer, PullMode
 from .uplink import UplinkChannel
 
@@ -85,21 +85,26 @@ class HybridSystem:
         wall-time counters (scheduler selections, metrics
         finalisation).
     engine:
-        ``"reference"`` (default) runs the generator-process DES core;
+        ``"reference"`` (default) runs the generator-process DES core
+        with :class:`~repro.workload.arrivals.ArrivalProcess` arrivals;
         ``"fast"`` runs the flat-calendar
         :class:`~repro.des.fastengine.FastEnvironment` with
-        :class:`~repro.sim.fastpath.FastHybridServer` and vectorised
-        arrival pre-generation.  Fast runs are statistically equivalent
-        but not bit-identical to reference runs (random streams are
-        consumed in blocks) and do not support ``tracer``/``profiler``/
-        custom ``server_cls``; see ``docs/performance.md``.
+        :class:`~repro.sim.fastpath.FastHybridServer` and block-drawn
+        :class:`~repro.workload.batched.BatchedArrivals`: statistically
+        equivalent, not bit-identical, no custom ``server_cls``; see
+        ``docs/performance.md``.  Without ``trace``/``arrivals``, a
+        front or a server class overriding ``submit``, both admit their
+        sampler's arrivals in-line
+        (:meth:`~repro.sim.policy.RequestStore.attach`), with the same
+        results as one calendar event per arrival.
         ``"population"`` runs the counter-folded
         :class:`~repro.scale.server.PopulationHybridServer` over exact
         aggregated per-(item, class) arrival streams — per-event cost
         independent of ``num_clients``, for million-client scenarios.
         Statistically exact but not bit-identical to the per-client
-        engines; client-recovery faults, tracing, QoS recording and
-        custom servers are unsupported.  See ``docs/scale.md``.
+        engines; client-recovery faults, tracing, profiling, QoS
+        recording and custom servers are unsupported.  See
+        ``docs/scale.md``.
     """
 
     def __init__(
@@ -129,9 +134,9 @@ class HybridSystem:
             )
         if engine != "reference":
             # The fast and population engines swap in their own server
-            # state machines; hooks that instrument or replace
-            # HybridServer need the reference engine (both engine servers
-            # also reject tracer/profiler themselves).
+            # state machines; hooks that replace HybridServer need the
+            # reference engine (the population server also rejects
+            # tracer/profiler itself).
             if server_cls is not HybridServer or server_kwargs:
                 raise ValueError(
                     f"engine={engine!r} uses its own server implementation; "
@@ -242,62 +247,38 @@ class HybridSystem:
             config_hash=self.config_hash,
             interval=config.faults.watchdog_interval if config.faults.active else None,
         )
-        if trace is not None and arrivals is not None:
-            raise ValueError("pass either a trace or an arrivals source, not both")
         if trace is not None:
-            self.driver = drive_trace(self.env, front, trace)
-        elif engine == "fast" and arrivals is None:
-            # Vectorised chunked pre-generation; this is where the fast
-            # engine's arrival-path speedup lives.
-            batched = BatchedArrivals(
-                catalog=self.catalog,
-                population=self.population,
-                rate=config.arrival_rate,
-                rng=self.streams.stream("arrivals"),
-                priority_weighted=config.priority_weighted_demand,
-            )
-            if front is self.server:
-                # Ideal uplink, no client front: the server drains the
-                # chunks itself at its queue-touch points — zero calendar
-                # records per arrival (see RequestStore.attach).
-                self.server.store.attach(batched)
-                self.driver = None
-            else:
-                # Arrivals pass through the uplink/fault front: one flat
-                # calendar record per arrival keeps delivery timing exact.
-                self.driver = FastArrivalDriver(self.env, front, batched)
-        elif engine == "population" and arrivals is None:
-            # Exact aggregated per-(item, class) streams; the client
-            # population is never materialised (superposition of Poisson
-            # is Poisson — see repro.workload.population).
-            aggregated = PopulationArrivals(
-                catalog=self.catalog,
-                population=self.population,
-                rate=config.arrival_rate,
-                rng=self.streams.stream("arrivals"),
-                priority_weighted=config.priority_weighted_demand,
-            )
-            if front is self.server:
-                # Ideal uplink: the server drains struct-of-arrays blocks
-                # at its queue-touch points — no Request objects at all.
-                self.server.store.attach(aggregated)
-                self.driver = None
-            else:
-                # A non-ideal uplink needs per-request delivery records;
-                # PopulationArrivals also speaks Request chunks.
-                self.driver = FastArrivalDriver(self.env, front, aggregated)
-        else:
-            # Custom arrival sources stay on the generator driver — they
-            # run unchanged on either engine, just without vectorisation.
-            if arrivals is None:
-                arrivals = ArrivalProcess(
-                    catalog=self.catalog,
-                    population=self.population,
-                    rate=config.arrival_rate,
-                    rng=self.streams.stream("arrivals"),
-                    priority_weighted=config.priority_weighted_demand,
-                )
+            if arrivals is not None:
+                raise ValueError("pass either a trace or an arrivals source, not both")
+            arrivals = trace.iter_requests()
+        self.driver = None
+        if arrivals is not None:
+            # Traces and custom sources run unchanged on every engine, one
+            # calendar event per arrival.
             self.driver = drive_arrivals(self.env, front, arrivals)
+        else:
+            samplers = {
+                "reference": ArrivalProcess,
+                "fast": BatchedArrivals,
+                "population": PopulationArrivals,
+            }
+            sampler = samplers[engine](
+                catalog=self.catalog,
+                population=self.population,
+                rate=config.arrival_rate,
+                rng=self.streams.stream("arrivals"),
+                priority_weighted=config.priority_weighted_demand,
+            )
+            if front is self.server and impl.submit is PolicyKernel.submit:
+                # Requests reach the kernel's own admission directly: the
+                # pending store drains the sampler at its queue-touch
+                # points, with no calendar record per arrival.
+                self.server.store.attach(sampler)
+            elif engine == "reference":
+                self.driver = drive_arrivals(self.env, front, sampler)
+            else:
+                # One flat calendar record per arrival through the front.
+                self.driver = FastArrivalDriver(self.env, front, sampler)
 
     def run(self, horizon: float) -> SimulationResult:
         """Advance the simulation to ``horizon`` and summarise.
@@ -312,20 +293,14 @@ class HybridSystem:
             raise ValueError(f"horizon {horizon} must exceed warmup {self.warmup}")
         if self.tracer is not None:
             self.tracer.meta["horizon"] = float(horizon)
-        if self.profiler is not None:
-            with self.profiler.phase("sim.run"):
-                self.env.run(until=horizon)
-            self.watchdog.check()
-            with self.profiler.phase("metrics.result"):
-                result = self.metrics.result(horizon=horizon, seed=self.seed)
-        else:
+        profiler = self.profiler
+        with profiler.phase("sim.run") if profiler is not None else nullcontext():
             self.env.run(until=horizon)
-            if self.engine != "reference":
-                # Admit buffered arrivals between the last service event
-                # and the horizon so end-of-run accounting matches the
-                # reference engine (which processes every arrival event).
-                self.server.store.drain(horizon)
-            self.watchdog.check()
+        # Admit buffered arrivals between the last queue touch and the
+        # horizon, as their per-event delivery would have been.
+        self.server.store.drain(horizon)
+        self.watchdog.check()
+        with profiler.phase("metrics.result") if profiler is not None else nullcontext():
             result = self.metrics.result(horizon=horizon, seed=self.seed)
         return replace(
             result,

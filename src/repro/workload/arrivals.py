@@ -10,8 +10,10 @@ on (``λ_i = λ · p_i · q_j`` discussion in §4.2).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import islice
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -19,6 +21,10 @@ from .clients import ClientPopulation
 from .items import ItemCatalog
 
 __all__ = ["Request", "ArrivalProcess"]
+
+#: Arrivals per :meth:`ArrivalProcess.next_chunk`.  Small, because the
+#: draws a run makes past its horizon are wasted.
+_CHUNK = 128
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,35 +100,44 @@ class ArrivalProcess:
         else:
             self._client_weights = None
             self._client_cdf = None
-        # Precomputed CDF: drawing via searchsorted on a uniform variate is
-        # far cheaper than rng.choice(p=...) per arrival (profiled hot path).
         self._item_cdf = np.cumsum(catalog.probabilities)
+        self._stream: Optional[Iterator[Request]] = None
 
     # -- lazy stream (for the DES) ------------------------------------------
     def __iter__(self) -> Iterator[Request]:
-        """Infinite lazy stream of requests in time order."""
+        """Infinite lazy stream of requests in time order.
+
+        Per arrival: the exponential gap, the item uniform, then the
+        client draw (``integers``, or a uniform on the priority CDF).
+        ``bisect_right`` on the CDFs as lists finds the index
+        ``np.searchsorted(..., side="right")`` would.
+        """
+        rng = self.rng
+        exponential = rng.exponential
+        uniform = rng.random
+        integers = rng.integers
+        scale = 1.0 / self.rate
+        item_cdf = self._item_cdf.tolist()
+        last_item = len(item_cdf) - 1
+        num_clients = self._num_clients
+        client_cdf = None if self._client_cdf is None else self._client_cdf.tolist()
+        ranks = self._client_class_rank.tolist()
+        priorities = self._client_priority.tolist()
         t = 0.0
         while True:
-            t += float(self.rng.exponential(1.0 / self.rate))
-            yield self._draw(t)
+            t += exponential(scale)
+            item_id = min(bisect_right(item_cdf, uniform()), last_item)
+            if client_cdf is None:
+                client_id = int(integers(0, num_clients))
+            else:
+                client_id = min(bisect_right(client_cdf, uniform()), num_clients - 1)
+            yield Request(t, item_id, client_id, ranks[client_id], priorities[client_id])
 
-    def _draw_client(self) -> int:
-        if self._client_cdf is None:
-            return int(self.rng.integers(0, self._num_clients))
-        idx = int(np.searchsorted(self._client_cdf, self.rng.random(), side="right"))
-        return min(idx, self._num_clients - 1)
-
-    def _draw(self, t: float) -> Request:
-        idx = int(np.searchsorted(self._item_cdf, self.rng.random(), side="right"))
-        item_id = min(idx, len(self.catalog) - 1)
-        client_id = self._draw_client()
-        return Request(
-            time=t,
-            item_id=item_id,
-            client_id=client_id,
-            class_rank=int(self._client_class_rank[client_id]),
-            priority=float(self._client_priority[client_id]),
-        )
+    def next_chunk(self) -> list[Request]:
+        """The next arrivals of one :meth:`__iter__` stream, for in-line draining."""
+        if self._stream is None:
+            self._stream = iter(self)
+        return list(islice(self._stream, _CHUNK))
 
     # -- bulk generation (vectorised, for analysis & traces) ------------------
     def generate(self, horizon: float) -> list[Request]:

@@ -1,9 +1,11 @@
 """Unit tests for repro.workload.arrivals: Poisson request streams."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.workload import ArrivalProcess, ClientPopulation, ItemCatalog
+from repro.workload import ArrivalProcess, ClientPopulation, ItemCatalog, Request
 
 
 @pytest.fixture()
@@ -150,3 +152,103 @@ class TestPriorityWeightedDemand:
         total = sum(arrivals.values())
         premium_share = arrivals["A"] / total
         assert premium_share > system.population.class_fractions[0]
+
+
+class _PastTheCdf:
+    """A seeded numpy Generator whose every seventh uniform lands in [1 − 1e-10, 1].
+
+    Against a catalog whose CDF ends below 1.0 those uniforms fall past
+    its last value, so the draw's clamp to the last item runs (seven is
+    odd, so with priority-weighted clients they alternate between the
+    item and the client draw).
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self.exponential = self._rng.exponential
+        self.integers = self._rng.integers
+        self._calls = 0
+
+    def random(self) -> float:
+        u = self._rng.random()
+        self._calls += 1
+        return 1.0 - u * 1e-10 if self._calls % 7 == 0 else u
+
+
+def _searchsorted_stream(process):
+    """The per-arrival draw as ``ArrivalProcess`` made it before its list CDFs.
+
+    ``np.searchsorted`` on the CDF arrays and numpy scalar indexing, the
+    same three draws per arrival in the same order.
+    """
+    rng = process.rng
+    item_cdf = np.cumsum(process.catalog.probabilities)
+    num_clients = len(process.population)
+    rank = np.array([c.service_class.rank for c in process.population], dtype=int)
+    priority = np.array([c.priority for c in process.population], dtype=float)
+    client_cdf = np.cumsum(priority / priority.sum()) if process.priority_weighted else None
+    t = 0.0
+    while True:
+        t += float(rng.exponential(1.0 / process.rate))
+        idx = int(np.searchsorted(item_cdf, rng.random(), side="right"))
+        item_id = min(idx, len(process.catalog) - 1)
+        if client_cdf is None:
+            client_id = int(rng.integers(0, num_clients))
+        else:
+            idx = int(np.searchsorted(client_cdf, rng.random(), side="right"))
+            client_id = min(idx, num_clients - 1)
+        yield Request(
+            time=t,
+            item_id=item_id,
+            client_id=client_id,
+            class_rank=int(rank[client_id]),
+            priority=float(priority[client_id]),
+        )
+
+
+class TestDrawMatchesSearchsortedReference:
+    """The list-CDF draw yields the requests the numpy-indexed draw did."""
+
+    DRAWS = 20_000
+
+    @staticmethod
+    def _catalog(kind: str) -> ItemCatalog:
+        catalog = ItemCatalog.generate(num_items=40, theta=0.8)
+        if kind == "zipf":
+            return catalog
+        # Within the catalog's 1e-9 normalisation tolerance, so its CDF
+        # ends at about 1 − 5e-10.
+        return ItemCatalog(
+            lengths=catalog.lengths, probabilities=catalog.probabilities * (1.0 - 5e-10)
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "priority-weighted"])
+    @pytest.mark.parametrize("kind", ["zipf", "cdf-below-one"])
+    def test_same_requests_in_value_and_type(self, kind, weighted, seed):
+        catalog = self._catalog(kind)
+        population = ClientPopulation.generate(num_clients=100)
+
+        def process() -> ArrivalProcess:
+            rng = np.random.default_rng(seed) if kind == "zipf" else _PastTheCdf(seed)
+            return ArrivalProcess(
+                catalog, population, rate=5.0, rng=rng, priority_weighted=weighted
+            )
+
+        reference = _searchsorted_stream(process())
+        expected = [next(reference) for _ in range(self.DRAWS)]
+        chunked = process()
+        got: list[Request] = []
+        while len(got) < self.DRAWS:
+            got.extend(chunked.next_chunk())
+        got = got[: self.DRAWS]
+        streamed = iter(process())
+        assert [next(streamed) for _ in range(self.DRAWS)] == expected
+        assert got == expected
+        types = (float, int, int, int, float)
+        for request in got:
+            assert tuple(type(value) for value in dataclasses.astuple(request)) == types
+        last = len(catalog) - 1
+        if kind == "cdf-below-one":
+            assert catalog.probabilities.cumsum()[-1] < 1.0
+            assert sum(r.item_id == last for r in got) >= self.DRAWS // 20
