@@ -266,10 +266,10 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         choices=("reference", "fast", "population"),
         default="reference",
         help=(
-            "simulation core: the generator-process reference engine, the "
-            "flat-calendar fast engine (statistically equivalent, ~2x faster; "
-            "see docs/performance.md), or the population-aggregated engine "
-            "for million-client scenarios (see docs/scale.md)"
+            "simulation core: the reference engine, the fast engine (the same "
+            "driver with block-drawn arrivals: statistically equivalent, ~1.8x "
+            "faster; see docs/performance.md), or the population-aggregated "
+            "engine for million-client scenarios (see docs/scale.md)"
         ),
     )
     run.add_argument("--items", type=int, default=50, help="catalog size")

@@ -1,8 +1,9 @@
 """``repro.des`` — a from-scratch discrete-event simulation engine.
 
 A compact, deterministic generator-process DES kernel in the style of
-simpy (which is unavailable in this environment), plus named random
-streams and output-analysis monitors.  Public surface:
+simpy (which is unavailable in this environment), whose calendar also
+dispatches flat ``(fn, arg)`` records (:meth:`Environment.schedule_call`),
+plus named random streams and output-analysis monitors.  Public surface:
 
 * :class:`Environment`, :class:`Event`, :class:`Timeout`, :class:`Process`,
   :class:`Interrupt`, :class:`AllOf`, :class:`AnyOf`
@@ -16,7 +17,6 @@ streams and output-analysis monitors.  Public surface:
 
 from .engine import EmptySchedule, Environment, StopSimulation
 from .events import NORMAL, PENDING, URGENT, AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
-from .fastengine import FastEnvironment
 from .monitor import Counter, Tally, TimeWeighted, batch_means_ci
 from .process import Interrupt, Process, ProcessGenerator
 from .resources import (
@@ -37,7 +37,6 @@ from .rng import RandomStreams, stable_key
 
 __all__ = [
     "Environment",
-    "FastEnvironment",
     "EmptySchedule",
     "StopSimulation",
     "Event",

@@ -1,24 +1,32 @@
 """The simulation environment: event calendar and execution loop.
 
 :class:`Environment` owns the simulation clock and a priority queue of
-scheduled events (the *calendar*).  :meth:`Environment.step` pops and
-processes one event; :meth:`Environment.run` loops until a stop condition.
+scheduled records (the *calendar*).  A record is either an
+:class:`~repro.des.events.Event`, whose callbacks resume generator
+processes, or a flat ``(fn, arg)`` call from :meth:`Environment.schedule_call`,
+which costs one tuple unpack and one function call to dispatch.
+:meth:`Environment.step` pops and processes one record;
+:meth:`Environment.run` loops over it until a stop condition.
 
-The calendar orders events by ``(time, priority, sequence)`` so that
-same-time events process in deterministic FIFO order within a priority
-band.  :data:`~repro.des.events.URGENT` events (process initialisation,
-interrupts) run before :data:`~repro.des.events.NORMAL` ones at equal time.
+The calendar orders records of both kinds by ``(time, priority,
+sequence)`` so that same-time records process in deterministic FIFO
+order within a priority band.  :data:`~repro.des.events.URGENT` records
+(process initialisation, interrupts) run before
+:data:`~repro.des.events.NORMAL` ones at equal time.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Union
 
 from .events import NORMAL, PENDING, AllOf, AnyOf, Event, Timeout
 from .process import Process, ProcessGenerator
 
 __all__ = ["Environment", "EmptySchedule", "StopSimulation"]
+
+#: A flat calendar payload: ``fn(arg)`` runs at the scheduled time.
+CallRecord = tuple[Callable[[Any], None], Any]
 
 
 class EmptySchedule(Exception):
@@ -61,7 +69,7 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
+        self._queue: list[tuple[float, int, int, Union[Event, CallRecord]]] = []
         self._eid = 0
         self._active_proc: Optional[Process] = None
 
@@ -81,7 +89,7 @@ class Environment:
         return self._queue[0][0] if self._queue else float("inf")
 
     def __len__(self) -> int:
-        """Number of scheduled (not yet processed) events in the calendar."""
+        """Number of scheduled (not yet processed) records in the calendar."""
         return len(self._queue)
 
     # -- scheduling ----------------------------------------------------------
@@ -89,6 +97,25 @@ class Environment:
         """Insert a triggered ``event`` into the calendar after ``delay``."""
         self._eid += 1
         heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+
+    def schedule_call(
+        self,
+        delay: float,
+        fn: Callable[[Any], None],
+        arg: Any = None,
+        priority: int = NORMAL,
+    ) -> None:
+        """Schedule ``fn(arg)`` after ``delay``: no Event, nothing to wait on.
+
+        The call runs exactly once when the clock reaches ``now + delay``,
+        ordered with events by ``(time, priority, sequence)``.  Use
+        :meth:`timeout`/:meth:`process` when another component needs to
+        observe or join the activity.
+        """
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        self._eid += 1
+        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, (fn, arg)))
 
     # -- event factories -------------------------------------------------------
     def event(self) -> Event:
@@ -113,7 +140,7 @@ class Environment:
 
     # -- execution ----------------------------------------------------------
     def step(self) -> None:
-        """Process the next scheduled event.
+        """Process the next scheduled record: call it, or run an event's callbacks.
 
         Raises
         ------
@@ -124,19 +151,23 @@ class Environment:
             by re-raising that exception here.
         """
         try:
-            self._now, _, _, event = heapq.heappop(self._queue)
+            self._now, _, _, record = heapq.heappop(self._queue)
         except IndexError:
             raise EmptySchedule() from None
+        if isinstance(record, tuple):
+            fn, arg = record
+            fn(arg)
+            return
 
-        callbacks, event.callbacks = event.callbacks, None
+        callbacks, record.callbacks = record.callbacks, None
         if callbacks is None:  # pragma: no cover - defensive; cannot normally happen
             return
         for callback in callbacks:
-            callback(event)
+            callback(record)
 
-        if event._ok is False and not event._defused:
+        if record._ok is False and not record._defused:
             # Nobody handled this failure: abort the simulation loudly.
-            exc = event._value
+            exc = record._value
             raise exc
 
     def run(self, until: Optional[float | Event] = None) -> Any:

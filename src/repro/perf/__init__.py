@@ -1,7 +1,7 @@
 """Performance benchmarks and the perf-regression harness.
 
 :mod:`repro.perf.benches` times the repository's guarded fast paths
-(heap-indexed pull selection, the flat-calendar fast engine, parallel
+(heap-indexed pull selection, the fast engine's block sampler, parallel
 replications); :mod:`repro.perf.harness` turns the measurements into
 schema-2 reports, gates them against the committed baseline
 (``benchmarks/perf/BENCH_sim.json``) and tracks the speedup trajectory

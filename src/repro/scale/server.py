@@ -1,7 +1,7 @@
 """Population-aggregated hybrid server: the ``engine="population"`` driver.
 
-:class:`PopulationHybridServer` is the fast engine's callback driver
-(:class:`~repro.sim.fastpath.FastHybridServer`) over the folded pending
+:class:`PopulationHybridServer` is the one callback driver
+(:class:`~repro.sim.server.HybridServer`) over the folded pending
 store (:class:`~repro.scale.folded.FoldedStore`): pull entries and push
 waiters carry per-class counts and arrival-time moments instead of
 request objects, and satisfied/blocked/shed outcomes are recorded
@@ -29,16 +29,16 @@ Exactness boundary (see ``docs/scale.md``):
 
 from __future__ import annotations
 
-from ..sim.fastpath import FastHybridServer
+from ..sim.server import HybridServer
 from .folded import FoldedStore
 
 __all__ = ["PopulationHybridServer"]
 
 
-class PopulationHybridServer(FastHybridServer):
+class PopulationHybridServer(HybridServer):
     """The callback driver over :class:`FoldedStore`.
 
-    Drop-in for :class:`~repro.sim.fastpath.FastHybridServer` behind
+    Drop-in for :class:`~repro.sim.server.HybridServer` behind
     :class:`~repro.sim.system.HybridSystem` (same constructor surface,
     same diagnostics for the conservation watchdog).
     """

@@ -554,8 +554,7 @@ class SchedulerCore:
         if grant is not DROPPED:
             entry = grant[0]
             self.ledger.start_flight(entry.num_requests)
-            kernel.pull_tx_started += 1
-            kernel.active_pull_transmissions += 1
+            kernel._start_pull()
             started = self.clock.now()
             await asyncio.sleep(entry.length * self.config.time_scale)
             kernel._complete_pull(*grant, started, self.clock.now())

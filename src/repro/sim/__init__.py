@@ -27,7 +27,6 @@ from .runner import (
     run_until_precision,
     spawn_seeds,
 )
-from .fastpath import FastArrivalDriver, FastHybridServer
 from .server import HybridServer, PullMode
 from .system import Engine, HybridSystem
 from .uplink import UplinkChannel
@@ -53,8 +52,6 @@ __all__ = [
     "PullMode",
     "HybridSystem",
     "Engine",
-    "FastHybridServer",
-    "FastArrivalDriver",
     "UplinkChannel",
     "ParallelExecutor",
     "resolve_jobs",

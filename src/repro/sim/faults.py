@@ -301,7 +301,12 @@ class ConservationWatchdog:
         return lost
 
     def snapshot(self) -> ConservationSnapshot:
-        """Capture the conservation ledger at the current instant."""
+        """Capture the conservation ledger at the current instant.
+
+        Buffered arrivals up to now are admitted first, so the ledger
+        reads as it would under one calendar event per arrival.
+        """
+        self.server.store.drain(self.env.now)
         return ConservationSnapshot(
             time=self.env.now,
             generated=self._generated(),
@@ -348,11 +353,12 @@ class ConservationWatchdog:
             self.server.pull_tx_started
             - self.server.pull_tx_completed
             - self.server.pull_tx_corrupted
+            - self.server.pull_tx_preempted
         )
         if active != implied or active < 0:
             raise InvariantViolation(
-                f"pull service accounting broken at t={snap.time:g}: "
-                f"{active} active transmissions but started-completed-corrupted={implied}"
+                f"pull service accounting broken at t={snap.time:g}: {active} active "
+                f"transmissions but started-completed-corrupted-preempted={implied}"
                 + self._provenance(),
                 invariant="no-preemption",
                 snapshot=snap,

@@ -11,12 +11,12 @@ arrivals up to it, as their per-event delivery would have; only the
 public surface, which uplinks, client fronts and the control plane call
 without a time, reads it from the driver's ``env``.
 
-The drivers are subclasses that only move time — generator processes
-(:class:`~repro.sim.server.HybridServer`), callback records
-(:class:`~repro.sim.fastpath.FastHybridServer`) or asyncio sleeps on the
-live service's clock (:class:`~repro.service.core.SchedulerCore`) — and
-supply three hooks: ``_start`` (set up the service loop), ``_wake``
-(resume an idle one) and ``_next_demand`` (the next bandwidth demand).
+The drivers are subclasses that only move time — callback records on
+the event calendar (:class:`~repro.sim.server.HybridServer`, which every
+simulation engine runs) or asyncio sleeps on the live service's clock
+(:class:`~repro.service.core.SchedulerCore`) — and supply three hooks:
+``_start`` (set up the service loop), ``_wake`` (resume an idle one) and
+``_next_demand`` (the next bandwidth demand).
 
 The one real difference between the engines is how pending requests are
 held — a *pending store* chosen by the driver's ``store_cls``:
@@ -425,6 +425,7 @@ class PolicyKernel:
         self.pull_tx_started = 0
         self.pull_tx_completed = 0
         self.pull_tx_corrupted = 0
+        self.pull_tx_preempted = 0
         self.active_pull_transmissions = 0
         self.store = self.store_cls(self)
         self._start()
@@ -451,7 +452,10 @@ class PolicyKernel:
         the same item if present).  A bounded pull queue at capacity
         sheds an entry per the configured class-aware policy.
         """
-        if self._arrive(request, self.env.now):
+        now = self.env.now
+        if self.store.next_arrival <= now:
+            self.store.drain(now)
+        if self._arrive(request, now):
             self._wake()
 
     def _arrive(self, request: Request, now: float) -> bool:
@@ -648,6 +652,11 @@ class PolicyKernel:
         self._in_flight_requests += entry.num_requests
         return entry, rank, demand
 
+    def _start_pull(self) -> None:
+        """A granted pull transmission went on air."""
+        self.pull_tx_started += 1
+        self.active_pull_transmissions += 1
+
     def _complete_pull(
         self, entry: PendingEntry, rank: int, demand: float, started: float, now: float
     ) -> None:
@@ -689,6 +698,26 @@ class PolicyKernel:
         self.pull_scheduler.observe_service(entry, now)
         self.metrics.record_pull_service()
         self.pull_tx_completed += 1
+
+    def _preempt_pull(
+        self, entry: PendingEntry, rank: int, demand: float, started: float, now: float
+    ) -> None:
+        """A pull transmission was cut off the air: re-queue what it still owes.
+
+        Preemptive resume: the entry returns to the queue with its
+        remaining length (receivers keep the bytes already sent), folding
+        into any entry newer requests opened meanwhile, and its bandwidth
+        is released.
+        """
+        if self.store.next_arrival <= now:
+            self.store.drain(now)
+        self._in_flight_requests -= entry.num_requests
+        self.active_pull_transmissions -= 1
+        self.pull_tx_preempted += 1
+        entry.length = max(entry.length - (now - started), 1e-9)
+        self.pull_queue.reinsert(entry)
+        self.metrics.record_queue_length(now, len(self.pull_queue))
+        self.pool.release(rank, demand)
 
     # -- reconfiguration ---------------------------------------------------------
     def reconfigure_cutoff(self, new_cutoff: int, push_scheduler: PushScheduler) -> None:

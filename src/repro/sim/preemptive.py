@@ -16,10 +16,9 @@ switching and fairness price on the basic classes.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
-from ..des import Interrupt
-from ..schedulers.base import PendingEntry
+from ..des import URGENT
 from .server import HybridServer
 
 __all__ = ["PreemptiveHybridServer"]
@@ -27,6 +26,11 @@ __all__ = ["PreemptiveHybridServer"]
 
 class PreemptiveHybridServer(HybridServer):
     """Hybrid server whose pull transmissions can be preempted.
+
+    The kernel puts transmissions on air, completes or corrupts them and
+    re-queues a preempted one
+    (:meth:`~repro.sim.policy.PolicyKernel._preempt_pull`); this server
+    only decides when, on ``submit``, and cancels the on-air completion.
 
     Parameters
     ----------
@@ -46,59 +50,37 @@ class PreemptiveHybridServer(HybridServer):
                 f"preemption_threshold must be >= 0, got {preemption_threshold}"
             )
         self.preemption_threshold = float(preemption_threshold)
-        #: Entry currently in (preemptible) pull transmission.
-        self._in_service: Optional[PendingEntry] = None
-        self._in_service_started: float = 0.0
+        #: Completion payload of the (preemptible) transmission on air.
+        self._on_air: Optional[tuple] = None
         self.preemptions = 0
 
-    # -- preemption trigger -----------------------------------------------------
     def submit(self, request) -> None:  # type: ignore[override]
         super().submit(request)
-        self._maybe_preempt(request)
-
-    def _maybe_preempt(self, request) -> None:
-        if self._in_service is None or request.item_id < self.cutoff:
+        on_air = self._on_air
+        if on_air is None or request.item_id < self.cutoff:
             return
         entry = self.pull_queue.peek(request.item_id)
         if entry is None:
             return
-        current_score = self.pull_scheduler.score(self._in_service, self.env.now)
-        challenger = self.pull_scheduler.score(entry, self.env.now)
+        now = self.env.now
+        current_score = self.pull_scheduler.score(on_air[0], now)
+        challenger = self.pull_scheduler.score(entry, now)
         if challenger > current_score * (1.0 + self.preemption_threshold):
-            process = self.env.active_process
-            # The server process is parked on the transmission timeout;
-            # interrupt it (never self-interrupt: submissions come from
-            # driver processes, not the server).
-            if process is not self._process:
-                self.preemptions += 1
-                self._process.interrupt(cause="preempt")
+            self.preemptions += 1
+            # Cancel the completion; the cut runs ahead of same-time
+            # records, as an interrupt would.
+            self._on_air = None
+            self.env.schedule_call(0.0, self._preempt, on_air, priority=URGENT)
 
-    # -- preemptible transmission -------------------------------------------------
-    def _transmit_pull(self, entry: PendingEntry, rank: int, demand: float):
-        """Transmit with preemptive-resume semantics."""
-        self._in_service = entry
-        self._in_service_started = self.env.now
-        try:
-            yield self.env.timeout(entry.length)
-        except Interrupt:
-            # Preempted: return the entry to the queue with the length it
-            # still needs (resume), release the bandwidth, do not satisfy.
-            transmitted = self.env.now - self._in_service_started
-            entry.length = max(entry.length - transmitted, 1e-9)
-            self._requeue(entry)
-            self._in_flight_requests -= entry.num_requests
-            self.pool.release(rank, demand)
-            self._in_service = None
-            return
-        self._in_service = None
-        self._in_flight_requests -= entry.num_requests
-        for request in entry.requests:
-            self.metrics.record_satisfied(request, self.env.now, via_push=False)
-        self.pull_scheduler.observe_service(entry, self.env.now)
-        self.pool.release(rank, demand)
-        self.metrics.record_pull_service()
+    def _preempt(self, on_air: tuple) -> None:
+        self._preempt_pull(*on_air, self.env.now)
+        self._advance()
 
-    def _requeue(self, entry: PendingEntry) -> None:
-        """Put a preempted entry back, folding into any newer entry."""
-        self.pull_queue.reinsert(entry)
-        self.metrics.record_queue_length(self.env.now, len(self.pull_queue))
+    def _transmit(self, grant: Any) -> Any:
+        self._on_air = super()._transmit(grant)
+        return self._on_air
+
+    def _on_pull_done(self, payload: Any) -> None:
+        if payload is self._on_air:
+            self._on_air = None
+            super()._on_pull_done(payload)

@@ -74,7 +74,7 @@ def run_single(
     (:class:`~repro.obs.TraceRecorder`) and writes it there as JSONL;
     results are bit-identical with tracing on or off.
 
-    ``engine="fast"`` selects the flat-calendar fast core (statistically
+    ``engine="fast"`` selects block-drawn arrivals (statistically
     equivalent, not bit-identical); ``engine="population"`` cannot record
     a trace.
 

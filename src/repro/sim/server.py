@@ -1,4 +1,4 @@
-"""The hybrid broadcast server process (Figure 1 of the paper).
+"""The hybrid broadcast server (Figure 1 of the paper).
 
 The server loops forever:
 
@@ -27,94 +27,149 @@ Two pull service modes are supported:
   only on the demand distribution's tail.
 
 The decisions themselves live in :class:`~repro.sim.policy.PolicyKernel`;
-:class:`HybridServer` is its generator-process driver on the reference
-:class:`~repro.des.Environment`.
+:class:`HybridServer` only moves their time, as flat ``(fn, arg)``
+records on the :class:`~repro.des.Environment` calendar: no generator
+frame and no Event per cycle.  The reference and fast engines run it
+over the per-request pending store, the population engine
+(:class:`~repro.scale.server.PopulationHybridServer`) over the folded one.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Literal
+from typing import Any, Literal
 
-from ..des import Environment
+from ..des import URGENT, Environment
 from .policy import DROPPED, PolicyKernel
 
 __all__ = ["HybridServer", "PullMode"]
 
 PullMode = Literal["serial", "concurrent"]
 
+#: Bandwidth demands drawn per block from the ``"bandwidth"`` stream: the
+#: same values as one draw per service, without numpy's per-call cost.
+_DEMAND_BLOCK = 512
+
 
 class HybridServer(PolicyKernel):
-    """Reference-engine driver: the Figure-1 loop as one generator process.
+    """The Figure-1 loop as callback records on the event calendar.
 
-    Parameters are those of :class:`~repro.sim.policy.PolicyKernel`;
-    bandwidth demands are drawn one at a time from the ``"bandwidth"``
-    stream.
+    Parameters are those of :class:`~repro.sim.policy.PolicyKernel`.
+    ``_advance`` runs cycles until a transmission goes on air or the loop
+    sleeps; ``_on_push_done`` and ``_on_pull_done`` continue them when a
+    transmission's air time has elapsed.  Drops and concurrent grants
+    loop in place, so consecutive zero-air-time decisions never recurse.
+    A pure-pull loop with an empty queue sleeps until a request queues.
     """
 
     env: Environment
 
     def _start(self) -> None:
-        self._demand_mean = self.config.bandwidth_demand_mean
-        self._wakeup = self.env.event()
-        self._process = self.env.process(self._run())
+        self._demand_rng = self.streams.stream("bandwidth")
+        self._demand_mean = float(self.config.bandwidth_demand_mean)
+        self._demands: list[int] = []
+        self._demand_idx = 0
+        #: Token of the current sleep: a timer or wake record carrying an
+        #: older one finds the loop gone and does nothing.
+        self._nap = 0
+        #: Asleep with no wake record on the calendar.
+        self._idle = False
+        # The first cycle runs at t=0 ahead of NORMAL records, as a
+        # process start would.
+        self.env.schedule_call(0.0, self._advance, priority=URGENT)
 
     def _next_demand(self) -> float:
-        return float(self.streams.poisson("bandwidth", self._demand_mean))
+        i = self._demand_idx
+        if i == len(self._demands):
+            self._demands = self._demand_rng.poisson(self._demand_mean, _DEMAND_BLOCK).tolist()
+            i = 0
+        self._demand_idx = i + 1
+        return float(self._demands[i])
 
+    # -- sleeping ------------------------------------------------------------
     def _wake(self) -> None:
-        if not self._wakeup.triggered:
-            self._wakeup.succeed()
+        if self._idle:
+            # The loop resumes at the same time, after the current record.
+            self._idle = False
+            self.env.schedule_call(0.0, self._on_wake, self._nap)
 
-    def _run(self):
-        """Main loop per Figure 1: push one item, then serve one pull entry."""
-        while True:
-            pushed = yield from self._broadcast_next_push()
-            served = yield from self._serve_next_pull()
-            if not pushed and not served:
-                yield from self._sleep()
+    def _sleep(self, now: float) -> None:
+        """Suspend the loop; with buffered arrivals, until the next one."""
+        self._nap += 1
+        self._idle = True
+        nxt = self.store.next_arrival
+        if nxt < math.inf:
+            # Nothing external wakes the loop for a buffered arrival.
+            self.env.schedule_call(nxt - now, self._on_wake, self._nap)
 
-    def _sleep(self):
-        """Pure-pull system with an empty queue: sleep until a request joins it.
-
-        :meth:`_wake` ends the sleep; with buffered arrivals the loop also
-        wakes at the next one, admits it and sleeps on unless it queued.
-        """
-        while not self.pull_queue:
-            self._wakeup = self.env.event()
-            nxt = self.store.next_arrival
-            if nxt == math.inf:
-                yield self._wakeup
+    def _on_wake(self, nap: int) -> None:
+        if nap != self._nap:
+            return
+        if self.store.next_arrival < math.inf:
+            # Admit the buffered arrivals; sleep on unless one queued.
+            now = self.env.now
+            self.store.drain(now)
+            if not self.pull_queue:
+                self._sleep(now)
                 return
-            yield self._wakeup | self.env.timeout(nxt - self.env.now)
-            self.store.drain(self.env.now)
+        self._nap += 1
+        self._idle = False
+        self._advance()
 
-    def _broadcast_next_push(self):
-        """Broadcast one push slot; returns True if a slot was transmitted."""
-        started = self.env.now
-        item_id = self._start_push(started)
-        if item_id is None:
-            return False
-        yield self.env.timeout(self.catalog[item_id].length)
+    # -- server cycle --------------------------------------------------------
+    def _advance(self, _arg: object = None) -> None:
+        """Run cycles until a transmission is on air or the loop sleeps."""
+        while True:
+            now = self.env.now
+            item_id = self._start_push(now)
+            if item_id is not None:
+                self.env.schedule_call(
+                    self.catalog[item_id].length, self._on_push_done, (item_id, now)
+                )
+                return
+            if not self._pull_step(pushed=False):
+                return
+
+    def _on_push_done(self, payload: Any) -> None:
+        """One push slot's air time elapsed: decode (or corrupt), continue."""
+        item_id, started = payload
         self._decode_push(item_id, started, self.env.now)
-        return True
+        if self._pull_step(pushed=True):
+            self._advance()
 
-    def _serve_next_pull(self):
-        """Serve (or drop) the max-importance pull entry; True if one was taken."""
-        grant = self._take_pull(self.env.now)
+    def _pull_step(self, pushed: bool) -> bool:
+        """Serve or drop one pull entry; ``True`` when the next cycle follows.
+
+        ``False`` when control is suspended: a serial transmission went on
+        air (``_on_pull_done`` resumes the cycle) or the loop sleeps.
+        """
+        now = self.env.now
+        grant = self._take_pull(now)
         if grant is None:
+            if not pushed:
+                self._sleep(now)
+            return pushed
+        if grant is DROPPED:
+            return True
+        if self.pull_mode == "serial":
+            self._transmit(grant)
             return False
-        if grant is not DROPPED:
-            if self.pull_mode == "serial":
-                yield from self._transmit_pull(*grant)
-            else:
-                self.env.process(self._transmit_pull(*grant))
+        # A concurrent grant goes on air through a zero-delay URGENT
+        # record, as a spawned process starts: after the next push slot
+        # is scheduled, so its completion follows a slot ending at the
+        # same time.
+        self.env.schedule_call(0.0, self._transmit, grant, priority=URGENT)
         return True
 
-    def _transmit_pull(self, entry, rank: int, demand: float):
-        """Hold one granted pull transmission on air, then complete it."""
-        self.pull_tx_started += 1
-        self.active_pull_transmissions += 1
-        started = self.env.now
-        yield self.env.timeout(entry.length)
-        self._complete_pull(entry, rank, demand, started, self.env.now)
+    def _transmit(self, grant: Any) -> Any:
+        """Put a granted pull transmission on air; returns its completion payload."""
+        self._start_pull()
+        payload = (*grant, self.env.now)
+        self.env.schedule_call(grant[0].length, self._on_pull_done, payload)
+        return payload
+
+    def _on_pull_done(self, payload: Any) -> None:
+        """A pull transmission's air time elapsed; a serial one resumes the cycle."""
+        self._complete_pull(*payload, self.env.now)
+        if self.pull_mode == "serial":
+            self._advance()

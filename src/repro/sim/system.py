@@ -14,7 +14,6 @@ from typing import Literal, Optional
 
 from ..core.config import HybridConfig
 from ..des import Environment, RandomStreams
-from ..des.fastengine import FastEnvironment
 from ..schedulers.registry import make_pull_scheduler, make_push_scheduler
 from ..workload.arrivals import ArrivalProcess
 from ..workload.batched import BatchedArrivals
@@ -22,7 +21,6 @@ from ..workload.population import PopulationArrivals
 from ..workload.trace import RequestTrace
 from .bandwidth_pool import BandwidthPool
 from .client import FaultAwareFront, drive_arrivals
-from .fastpath import FastArrivalDriver, FastHybridServer
 from .faults import ConservationWatchdog, FaultInjector
 from .metrics import MetricsCollector, SimulationResult
 from .policy import PolicyKernel
@@ -85,16 +83,17 @@ class HybridSystem:
         wall-time counters (scheduler selections, metrics
         finalisation).
     engine:
-        ``"reference"`` (default) runs the generator-process DES core
-        with :class:`~repro.workload.arrivals.ArrivalProcess` arrivals;
-        ``"fast"`` runs the flat-calendar
-        :class:`~repro.des.fastengine.FastEnvironment` with
-        :class:`~repro.sim.fastpath.FastHybridServer` and block-drawn
-        :class:`~repro.workload.batched.BatchedArrivals`: statistically
-        equivalent, not bit-identical, no custom ``server_cls``; see
-        ``docs/performance.md``.  Without ``trace``/``arrivals``, a
-        front or a server class overriding ``submit``, both admit their
-        sampler's arrivals in-line
+        Every engine runs the same callback driver
+        (:class:`~repro.sim.server.HybridServer` or a subclass) on one
+        :class:`~repro.des.Environment` calendar; they differ in the
+        arrival sampler and the pending store.  ``"reference"``
+        (default) draws :class:`~repro.workload.arrivals.ArrivalProcess`
+        arrivals one at a time; ``"fast"`` draws
+        :class:`~repro.workload.batched.BatchedArrivals` in blocks:
+        statistically equivalent, not bit-identical; see
+        ``docs/performance.md``.  Without
+        ``trace``/``arrivals``, a front or a server class overriding
+        ``submit``, both admit their sampler's arrivals in-line
         (:meth:`~repro.sim.policy.RequestStore.attach`), with the same
         results as one calendar event per arrival.
         ``"population"`` runs the counter-folded
@@ -132,16 +131,11 @@ class HybridSystem:
                 f"server classes ({server_cls.__name__}) override them and "
                 "would record an incomplete trace"
             )
-        if engine != "reference":
-            # The fast and population engines swap in their own server
-            # state machines; hooks that replace HybridServer need the
-            # reference engine (the population server also rejects
-            # tracer/profiler itself).
-            if server_cls is not HybridServer or server_kwargs:
-                raise ValueError(
-                    f"engine={engine!r} uses its own server implementation; "
-                    "custom server classes/kwargs require engine='reference'"
-                )
+        if engine == "population" and (server_cls is not HybridServer or server_kwargs):
+            raise ValueError(
+                "engine='population' uses its own server implementation; custom "
+                "server classes/kwargs require engine='reference' or 'fast'"
+            )
         if engine == "population" and trace is not None:
             raise ValueError(
                 "the population engine folds arrivals and cannot replay "
@@ -154,7 +148,7 @@ class HybridSystem:
         self.profiler = profiler
         self.engine: Engine = engine
 
-        self.env = Environment() if engine == "reference" else FastEnvironment()
+        self.env = Environment()
         self.streams = RandomStreams(seed=seed)
         self.catalog = config.build_catalog()
         self.population = config.build_population()
@@ -179,8 +173,6 @@ class HybridSystem:
             from ..scale.server import PopulationHybridServer
 
             impl = PopulationHybridServer
-        elif engine == "fast":
-            impl = FastHybridServer
         else:
             impl = server_cls
         self.server = impl(
@@ -274,11 +266,8 @@ class HybridSystem:
                 # pending store drains the sampler at its queue-touch
                 # points, with no calendar record per arrival.
                 self.server.store.attach(sampler)
-            elif engine == "reference":
-                self.driver = drive_arrivals(self.env, front, sampler)
             else:
-                # One flat calendar record per arrival through the front.
-                self.driver = FastArrivalDriver(self.env, front, sampler)
+                self.driver = drive_arrivals(self.env, front, sampler)
 
     def run(self, horizon: float) -> SimulationResult:
         """Advance the simulation to ``horizon`` and summarise.

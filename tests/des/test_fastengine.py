@@ -1,10 +1,8 @@
-"""FastEnvironment: ordering properties and reference-engine parity.
+"""Flat ``schedule_call`` records on the one :class:`Environment` calendar.
 
-The fast engine must be a drop-in calendar: same ``(time, priority,
-insertion order)`` total order as the reference :class:`Environment`,
-same generator-process semantics (the fault front, uplink channel and
-watchdog run unchanged on it), plus the flat ``schedule_call`` records
-the fast server uses.
+Call records and events share one ``(time, priority, insertion order)``
+total order, and generator processes (the fault front, uplink channel
+and watchdog) run beside the flat records the hybrid server uses.
 """
 
 import math
@@ -15,7 +13,20 @@ from hypothesis import strategies as st
 
 from repro.des import NORMAL, URGENT, Environment
 from repro.des.engine import EmptySchedule
-from repro.des.fastengine import FastEnvironment
+
+#: ``_scenario``'s log as the generator-process calendar produced it
+#: before flat records shared it.
+RECORDED_SCENARIO_LOG = [
+    (1.5, "a", 0),
+    (2.25, "b", 0),
+    (3.0, "a", 1),
+    (4.5, "b", 1),
+    (4.5, "a", 2),
+    (6.0, "a", 3),
+    (6.75, "b", 2),
+    (6.75, "joined", -1),
+    (7.5, "raced", 1),
+]
 
 
 class TestCallRecordOrdering:
@@ -25,7 +36,7 @@ class TestCallRecordOrdering:
         )
     )
     def test_fire_times_non_decreasing(self, delays):
-        env = FastEnvironment()
+        env = Environment()
         fired = []
         for delay in delays:
             env.schedule_call(delay, lambda _arg: fired.append(env.now))
@@ -45,7 +56,7 @@ class TestCallRecordOrdering:
         )
     )
     def test_priority_then_fifo_within_equal_times(self, records):
-        env = FastEnvironment()
+        env = Environment()
         fired = []
         for index, (delay, priority) in enumerate(records):
             env.schedule_call(
@@ -59,7 +70,7 @@ class TestCallRecordOrdering:
         assert fired == sorted(fired)
 
     def test_mixed_events_and_calls_share_one_calendar(self):
-        env = FastEnvironment()
+        env = Environment()
         order = []
         env.timeout(2.0).callbacks.append(lambda e: order.append("timeout@2"))
         env.schedule_call(1.0, lambda _arg: order.append("call@1"))
@@ -69,7 +80,7 @@ class TestCallRecordOrdering:
         assert order == ["timeout@0.5", "call@1", "timeout@2", "call@3"]
 
     def test_negative_delay_rejected(self):
-        env = FastEnvironment()
+        env = Environment()
         with pytest.raises(ValueError):
             env.schedule_call(-0.1, lambda _arg: None)
 
@@ -100,32 +111,30 @@ def _scenario(env):
 
 class TestGeneratorParity:
     def test_process_scenario_identical_to_reference(self):
-        reference_log = _scenario(Environment())
-        fast_log = _scenario(FastEnvironment())
-        assert fast_log == reference_log
+        assert _scenario(Environment()) == RECORDED_SCENARIO_LOG
 
     def test_run_until_event_returns_its_value(self):
-        env = FastEnvironment()
+        env = Environment()
         done = env.event()
         env.schedule_call(4.0, lambda _arg: done.succeed(42))
         assert env.run(until=done) == 42
         assert env.now == 4.0
 
     def test_run_until_never_reached_raises(self):
-        env = FastEnvironment()
+        env = Environment()
         never = env.event()
         env.schedule_call(1.0, lambda _arg: None)
         with pytest.raises(RuntimeError, match="no more events"):
             env.run(until=never)
 
     def test_run_on_empty_calendar_matches_reference(self):
-        # run() drains quietly (reference parity); step() raises.
-        assert FastEnvironment().run() is None
+        # run() drains quietly; step() raises.
+        assert Environment().run() is None
         with pytest.raises(EmptySchedule):
-            FastEnvironment().step()
+            Environment().step()
 
     def test_peek_and_len(self):
-        env = FastEnvironment()
+        env = Environment()
         assert math.isinf(env.peek())
         assert len(env) == 0
         env.schedule_call(2.0, lambda _arg: None)

@@ -56,7 +56,6 @@ AUDITED_MODULES = {
     "repro.des.process": set(),
     "repro.sim.server": set(),
     "repro.sim.client": set(),
-    "repro.sim.fastpath": set(),
     "repro.sim.policy": set(),
     "repro.scale.folded": set(),
     "repro.scale.server": set(),

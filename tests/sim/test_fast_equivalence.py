@@ -41,15 +41,15 @@ GOLDEN = {
     (False, "serial", 0): (502, 0, 0, 36, 108, 90, 28.978152334507183, 12.225859051790104),
     (False, "serial", 7): (484, 0, 0, 12, 104, 93, 28.947189735153316, 10.326439427687387),
     (False, "serial", 123): (448, 0, 0, 22, 110, 93, 27.978127998068164, 12.250599654155701),
-    (False, "concurrent", 0): (500, 0, 0, 53, 176, 129, 16.941018373574032, 5.210703309280521),
-    (False, "concurrent", 7): (491, 0, 0, 33, 176, 139, 16.285538356447436, 5.492140417964529),
-    (False, "concurrent", 123): (461, 0, 0, 30, 176, 137, 15.675348267556146, 4.0700996717475695),
+    (False, "concurrent", 0): (493, 0, 0, 60, 176, 124, 16.987891433432633, 5.210703309280521),
+    (False, "concurrent", 7): (480, 0, 0, 44, 176, 132, 16.22463190075352, 5.492140417964529),
+    (False, "concurrent", 123): (450, 0, 0, 41, 176, 128, 15.849362033805768, 4.0700996717475695),
     (True, "serial", 0): (383, 120, 0, 31, 108, 84, 21.176110722004026, 9.185539488534353),
     (True, "serial", 7): (349, 150, 0, 9, 87, 81, 23.579074668850833, 10.83483820563774),
     (True, "serial", 123): (350, 122, 0, 14, 102, 89, 20.182956139950125, 8.830451862037584),
-    (True, "concurrent", 0): (478, 17, 0, 57, 166, 119, 16.62979074073687, 4.701951815380008),
-    (True, "concurrent", 7): (457, 40, 0, 28, 148, 125, 17.039064809424694, 5.9066691352832486),
-    (True, "concurrent", 123): (429, 38, 0, 27, 157, 121, 16.62594927753171, 5.098939516520686),
+    (True, "concurrent", 0): (471, 18, 0, 63, 167, 114, 16.445006883215697, 4.719736934959892),
+    (True, "concurrent", 7): (444, 51, 0, 29, 147, 123, 17.40920143155174, 6.050078421205068),
+    (True, "concurrent", 123): (418, 40, 0, 37, 155, 115, 16.827201909454825, 5.148029106635781),
 }
 
 

@@ -316,6 +316,7 @@ class TestWatchdogProvenance:
         from repro.sim.faults import ConservationWatchdog
 
         server = SimpleNamespace(
+            store=SimpleNamespace(drain=lambda now: None),
             pending_push_requests=0,
             pending_pull_requests=0,
             in_flight_pull_requests=0,
@@ -323,6 +324,7 @@ class TestWatchdogProvenance:
             pull_tx_started=0,
             pull_tx_completed=0,
             pull_tx_corrupted=0,
+            pull_tx_preempted=0,
             pull_mode="serial",
         )
         metrics = SimpleNamespace(

@@ -9,29 +9,30 @@ custom ``arrivals=`` source delivers one event per arrival through
 ``SimulationResult`` (value and type, NaN equal to NaN), the traced
 event list, the control-window observations and the adaptive cut-off
 decisions.  Code outside the kernel that reads its state drains the
-store first; without that, windows and decisions would lag the arrivals.
-"""
+store first; without that, windows, decisions and watchdog snapshots
+would lag the arrivals.
 
-import dataclasses
-import math
-from collections.abc import Mapping
+Every engine runs one driver, so the reference engine fed the fast
+engine's sampler one event per arrival equals the fast engine as well.
+"""
 
 import pytest
 
 from repro.control import ClassSLO, SLOSpec, WindowRecorder, build_controlled_system
-from repro.core import FaultConfig, HybridConfig, OverloadConfig
+from repro.core import FaultConfig, HybridConfig
 from repro.des import RandomStreams
 from repro.obs import TraceRecorder
 from repro.schedulers.flat import FlatScheduler
 from repro.sim import HybridSystem, build_adaptive_system
 from repro.sim.adaptive import AdaptiveCutoffController
-from repro.workload.arrivals import ArrivalProcess
+from repro.workload.arrivals import ArrivalProcess, Request
 from repro.workload.batched import BatchedArrivals
+
+from .scenario_grid import BASE, GRID, _same
 
 SEEDS = (0, 1, 2)
 HORIZON = 400.0
 WARMUP = 40.0
-BASE = HybridConfig()
 
 #: name -> (config, pull mode).
 SCENARIOS = {
@@ -39,18 +40,10 @@ SCENARIOS = {
     "concurrent": (BASE, "concurrent"),
     # The pure-pull loop sleeps on an empty queue between arrivals.
     "pure-pull-low-load": (HybridConfig(arrival_rate=0.3).with_cutoff(0), "serial"),
-    "downlink-loss": (BASE.with_faults(FaultConfig(downlink_loss=0.2)), "serial"),
-    "queue-capacity": (
-        BASE.with_cutoff(5).with_faults(FaultConfig(queue_capacity=5)),
-        "serial",
-    ),
-    "overload-gate": (
-        BASE.with_cutoff(5)
-        .with_faults(FaultConfig(queue_capacity=20))
-        .with_overload(OverloadConfig(threshold=0.3)),
-        "serial",
-    ),
-    "priority-weighted": (dataclasses.replace(BASE, priority_weighted_demand=True), "serial"),
+    "downlink-loss": (GRID["downlink-loss"], "serial"),
+    "queue-capacity": (GRID["queue-capacity"], "serial"),
+    "overload-gate": (GRID["overload-gate"], "serial"),
+    "priority-weighted": (GRID["priority-weighted"], "serial"),
 }
 
 #: Every window violates, so the controller moves its knobs.
@@ -61,26 +54,6 @@ FORCING = SLOSpec(
         ("C", ClassSLO()),
     )
 )
-
-
-def _same(left, right) -> bool:
-    """Exact equality of value and type, with NaN equal to NaN."""
-    if dataclasses.is_dataclass(left) and not isinstance(left, type):
-        return type(left) is type(right) and all(
-            _same(getattr(left, f.name), getattr(right, f.name))
-            for f in dataclasses.fields(left)
-        )
-    if isinstance(left, Mapping):
-        return list(left) == list(right) and all(_same(left[k], right[k]) for k in left)
-    if isinstance(left, (list, tuple)):
-        return (
-            type(left) is type(right)
-            and len(left) == len(right)
-            and all(_same(a, b) for a, b in zip(left, right))
-        )
-    if isinstance(left, float) and isinstance(right, float):
-        return left == right or (math.isnan(left) and math.isnan(right))
-    return type(left) is type(right) and left == right
 
 
 def _per_event(config: HybridConfig, seed: int, engine: str):
@@ -142,16 +115,12 @@ def test_reference_inline_trace_equals_per_event_trace(name, seed):
     assert _same(inline, plain)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_reference_cutoff_move_out_of_pure_pull_while_asleep(seed):
-    # At K = 0 and low load the loop mostly sleeps on an empty queue.
-    # Moving K above 0 does not wake it: a push-item arrival parks and
-    # the loop sleeps on until a request joins the pull queue, whether
-    # arrivals come in-line or one event each.
+def _cutoff_moves(seed, engine):
+    """In-line and per-event results of K 0 → 30 → 0 → 60 on a sleepy pure-pull loop."""
     config = HybridConfig(arrival_rate=0.3).with_cutoff(0)
     results = []
     for per_event in (False, True):
-        system = _system(config, seed, per_event)
+        system = _system(config, seed, per_event, engine=engine)
         server, env = system.server, system.env
 
         def moves():
@@ -163,7 +132,81 @@ def test_reference_cutoff_move_out_of_pure_pull_while_asleep(seed):
         env.process(moves())
         results.append(system.run(HORIZON))
     assert results[0].push_broadcasts > 0
+    return results
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reference_cutoff_move_out_of_pure_pull_while_asleep(seed):
+    # At K = 0 and low load the loop mostly sleeps on an empty queue.
+    # Moving K above 0 does not wake it: a push-item arrival parks and
+    # the loop sleeps on until a request joins the pull queue, whether
+    # arrivals come in-line or one event each.
+    inline, per_event = _cutoff_moves(seed, "reference")
+    assert _same(inline, per_event)
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_external_submits_inline_equal_per_event(seed, engine):
+    # A request submitted from outside the stream admits the buffered
+    # arrivals before it and wakes the sleeping pure-pull loop, whose
+    # timer for the next buffered arrival then goes stale.
+    config = HybridConfig(arrival_rate=0.3).with_cutoff(0)
+    priorities = config.class_priorities()
+    results = []
+    for per_event in (False, True):
+        system = _system(config, seed, per_event, engine=engine)
+        server, env = system.server, system.env
+
+        def submits():
+            for k in range(1, 40):
+                yield env.timeout(10.0 * k - env.now)
+                rank = k % len(priorities)
+                server.submit(
+                    Request(
+                        time=env.now,
+                        item_id=(7 * k) % config.num_items,
+                        client_id=0,
+                        class_rank=rank,
+                        priority=float(priorities[rank]),
+                    )
+                )
+
+        env.process(submits())
+        results.append(system.run(HORIZON))
     assert _same(results[0], results[1])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reference_watchdog_snapshots_inline_equal_per_event(seed):
+    # The periodic audit admits buffered arrivals before it reads the
+    # ledger, so every snapshot counts what per-event delivery counts.
+    config = BASE.with_faults(FaultConfig(downlink_loss=0.2, watchdog_interval=50.0))
+    runs = []
+    for per_event in (False, True):
+        system = _system(config, seed, per_event)
+        snapshots = []
+        for until in range(60, int(HORIZON), 50):
+            system.env.run(until=float(until))
+            snapshots.append(system.watchdog.last_snapshot)
+        runs.append((snapshots, system.run(HORIZON)))
+    (inline, _), _ = runs
+    assert [snap.time for snap in inline] == [50.0 * k for k in range(1, 8)]
+    assert _same(runs[0], runs[1])
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("pull_mode", ["serial", "concurrent"])
+@pytest.mark.parametrize("name", list(GRID))
+def test_reference_fed_batched_arrivals_equals_fast(name, pull_mode, seed):
+    # One driver on one calendar: the engines differ only in the sampler.
+    config = GRID[name]
+    kwargs = dict(seed=seed, warmup=WARMUP, pull_mode=pull_mode)
+    fed = _per_event(config, seed, "fast")
+    reference = HybridSystem(config, arrivals=fed, **kwargs).run(HORIZON)
+    fast = HybridSystem(config, engine="fast", **kwargs).run(HORIZON)
+    assert reference.satisfied_requests > 0
+    assert _same(reference, fast)
 
 
 def _controlled(config, seed, per_event, engine):
@@ -228,6 +271,14 @@ def test_fast_windows_inline_equal_per_event(seed):
         observations.append((result, recorder.observations))
     assert len(observations[0][1]) == 40
     assert _same(observations[0], observations[1])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fast_cutoff_move_out_of_pure_pull_while_asleep(seed):
+    # A buffered arrival wakes the sleeping loop only to admit it; the
+    # loop sleeps on unless the arrival joined the pull queue.
+    inline, per_event = _cutoff_moves(seed, "fast")
+    assert _same(inline, per_event)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

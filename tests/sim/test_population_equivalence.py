@@ -55,15 +55,15 @@ GOLDEN = {
     (False, "serial", 0): (499, 0, 39, 109, 88, 31.41610718330956, 14.2692920701086),
     (False, "serial", 7): (478, 0, 23, 108, 94, 29.121255546101676, 12.860454787528013),
     (False, "serial", 123): (444, 0, 18, 103, 86, 30.46819216552997, 11.421525180542265),
-    (False, "concurrent", 0): (506, 0, 52, 176, 127, 17.0533668392896, 6.443677126078731),
-    (False, "concurrent", 7): (478, 0, 42, 176, 138, 17.588951237882583, 7.256951791879974),
-    (False, "concurrent", 123): (459, 0, 41, 176, 132, 15.702962174702998, 4.259527371036264),
+    (False, "concurrent", 0): (503, 0, 55, 176, 123, 17.072551397564702, 6.443677126078731),
+    (False, "concurrent", 7): (468, 0, 52, 176, 131, 17.325356907326924, 7.256951791879974),
+    (False, "concurrent", 123): (450, 0, 50, 176, 126, 15.495543753196694, 4.259527371036264),
     (True, "serial", 0): (483, 0, 21, 98, 84, 31.373135037652123, 14.62739654502789),
     (True, "serial", 7): (478, 0, 22, 88, 81, 36.27355147280396, 14.090979604822492),
     (True, "serial", 123): (405, 0, 19, 93, 77, 32.06324393183864, 12.395044150981668),
-    (True, "concurrent", 0): (505, 0, 53, 167, 121, 17.826955802804395, 6.84867013603001),
-    (True, "concurrent", 7): (481, 0, 38, 149, 120, 21.887241603349437, 8.682520299489221),
-    (True, "concurrent", 123): (456, 0, 43, 156, 119, 19.665237558144646, 5.40087402587699),
+    (True, "concurrent", 0): (501, 0, 57, 167, 117, 18.448490140501047, 6.999268190825937),
+    (True, "concurrent", 7): (474, 0, 44, 150, 114, 22.734770029316245, 9.17201087944893),
+    (True, "concurrent", 123): (449, 0, 49, 155, 115, 18.963955992973997, 5.49943474183053),
 }
 
 

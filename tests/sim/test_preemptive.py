@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import HybridConfig
+from repro.core import FaultConfig, HybridConfig
 from repro.sim import HybridSystem
 from repro.sim.preemptive import PreemptiveHybridServer
 from repro.workload import Request, RequestTrace
@@ -136,3 +136,34 @@ class TestConservationUnderPreemption:
         )
         assert result.satisfied_requests + result.blocked_requests + pending == arrived
         assert system.server.preemptions > 0
+
+
+class TestKernelTransmissions:
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_lossy_downlink_pulls_balance_under_the_watchdog(self, engine):
+        # The kernel puts the preemptive server's pulls on air: they are
+        # corrupted and re-queued by ARQ like any other, and every one
+        # started is completed, corrupted, preempted or still on air.
+        config = HybridConfig(alpha=0.0, theta=0.60, cutoff=40).with_faults(
+            FaultConfig(downlink_loss=0.3)
+        )
+        system = HybridSystem(
+            config,
+            seed=5,
+            server_cls=PreemptiveHybridServer,
+            server_kwargs={"preemption_threshold": 0.1},
+            engine=engine,
+        )
+        system.run(2_000.0)
+        server = system.server
+        assert server.pull_tx_completed > 0
+        assert server.pull_tx_corrupted > 0
+        assert server.pull_tx_preempted == server.preemptions > 0
+        assert server.pull_tx_started == (
+            server.pull_tx_completed
+            + server.pull_tx_corrupted
+            + server.pull_tx_preempted
+            + server.active_pull_transmissions
+        )
+        # Periodic audits plus the one at the horizon.
+        assert system.watchdog.checks_performed > 1
