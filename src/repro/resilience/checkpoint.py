@@ -111,8 +111,8 @@ class CheckpointStore:
     ----------
     directory:
         Checkpoint directory (created on :meth:`open`).  One store maps
-        to exactly one ``(config, base_seed, horizon, warmup, pull_mode)``
-        sweep; opening it for anything else raises
+        to exactly one ``(config, base_seed, horizon, warmup, pull_mode,
+        engine, slo)`` sweep; opening it for anything else raises
         :class:`CheckpointMismatch`.
     """
 
@@ -146,10 +146,11 @@ class CheckpointStore:
         """Bind the store to one sweep; verify or (re)initialise the dir.
 
         ``resume=True`` requires an existing manifest whose provenance
-        (config hash, base seed, horizon, warm-up, pull mode) matches
-        exactly; any disagreement raises :class:`CheckpointMismatch`.
-        ``resume=False`` starts fresh: stale run files are deleted and a
-        new manifest is written.
+        (config hash, base seed, horizon, warm-up, pull mode, and the
+        ``engine`` and ``slo`` entries of ``extra`` when given) matches
+        exactly; any disagreement raises :class:`CheckpointMismatch`
+        naming each field that differs.  ``resume=False`` starts fresh:
+        stale run files are deleted and a new manifest is written.
         """
         self._hash = config_hash(config)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -161,6 +162,9 @@ class CheckpointStore:
         }
         if warmup is not None:
             expected["warmup"] = float(warmup)
+        # The engine and the SLO spec shape every run as much as the
+        # config does, so they identify the sweep too.
+        expected.update({k: v for k, v in (extra or {}).items() if k in ("engine", "slo")})
         if resume:
             if not self.manifest_path.exists():
                 raise CheckpointMismatch(

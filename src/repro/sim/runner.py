@@ -7,16 +7,19 @@ aggregates the per-run summaries (means and 95 % CIs of every headline
 metric).
 
 Replications are pure functions of ``(config, seed)`` and therefore
-embarrassingly parallel: both drivers accept ``n_jobs`` and fan the runs
-out over a :class:`~repro.sim.parallel.ParallelExecutor`.  Per-run seeds
-are derived up front with :func:`spawn_seeds`, so serial and parallel
-execution produce bit-for-bit identical results.
+embarrassingly parallel: both drivers accept ``n_jobs`` and hand the runs
+to one :class:`~repro.sim.parallel.ParallelExecutor`, which also applies
+the optional :class:`~repro.resilience.ResilienceConfig` (timeouts,
+retries, quarantine).  Per-run seeds are derived up front with
+:func:`spawn_seeds`, so serial, parallel, checkpointed and resumed
+execution produce bit-for-bit identical results.  Each driver is one
+sequence: spawn seeds, open or resume the optional checkpoint, run the
+missing seeds on the executor.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -26,7 +29,7 @@ import numpy as np
 from ..core.config import HybridConfig
 from ..des.monitor import t_quantile
 from .metrics import SimulationResult
-from .parallel import ParallelExecutor
+from .parallel import ParallelExecutor, ResilienceConfig
 from .server import PullMode
 from .system import Engine, HybridSystem
 
@@ -159,12 +162,8 @@ def run_traced(
 
 
 def _replication_task(task: tuple) -> SimulationResult:
-    """Module-level worker payload: one replication (picklable for pools).
-
-    The optional eighth element is an SLO spec (older checkpoint drivers
-    enqueue 7-tuples, so it stays optional).
-    """
-    config, seed, horizon, warmup, pull_mode, trace_path, engine, *rest = task
+    """Module-level worker payload: one replication (picklable for pools)."""
+    config, seed, horizon, warmup, pull_mode, trace_path, engine, slo = task
     return run_single(
         config,
         seed=seed,
@@ -173,7 +172,7 @@ def _replication_task(task: tuple) -> SimulationResult:
         pull_mode=pull_mode,
         trace_path=trace_path,
         engine=engine,
-        slo=rest[0] if rest else None,
+        slo=slo,
     )
 
 
@@ -317,11 +316,8 @@ def run_replications(
     """Run ``num_runs`` independent replications of ``config``.
 
     Per-run seeds come from :func:`spawn_seeds`, so every replication has
-    a provably independent random-stream family.  (Compatibility note:
-    before PR 2 seeds were ``base_seed, base_seed+1, ...``; the spawn
-    derivation yields different — statistically safer — streams, so
-    replicated numbers differ from that era while any fixed ``base_seed``
-    remains exactly reproducible.)
+    a provably independent random-stream family, and any fixed
+    ``base_seed`` is exactly reproducible.
 
     ``n_jobs`` fans the runs out over a process pool (``-1`` = all
     cores); results are identical for every ``n_jobs``.
@@ -339,22 +335,18 @@ def run_replications(
     skips the runs already on disk — the resumed aggregate is
     bit-identical to an uninterrupted sweep because runs are pure
     functions of ``(config, seed)``.  A checkpoint of a *different*
-    sweep (config hash, base seed, horizon, warm-up or pull mode
-    mismatch) refuses to resume with
+    sweep (config hash, base seed, horizon, warm-up, pull mode, engine
+    or SLO spec mismatch) refuses to resume with
     :class:`~repro.resilience.CheckpointMismatch`.
 
     ``resilience`` (a :class:`~repro.resilience.ResilienceConfig`) arms
     fault-tolerant execution: per-run timeouts, crash retries, and a
-    quarantine list on the returned aggregate.  With both
-    ``checkpoint_dir`` and ``resilience`` unset the driver takes the
-    exact legacy code path, so default calls stay bit-identical to
-    earlier releases.
+    quarantine list on the returned aggregate.  A checkpointed sweep
+    without it runs under the default ``ResilienceConfig()``; an
+    unarmed sweep raises the first failing run's own exception.
 
     ``slo`` attaches the closed-loop controller to every replication
-    (see :func:`run_single`); the spec is recorded in the checkpoint
-    manifest, but resume-mismatch detection keys on the config hash and
-    sweep geometry only — do not resume a controlled checkpoint with a
-    different spec.
+    (see :func:`run_single`).
     """
     if num_runs < 1:
         raise ValueError(f"num_runs must be >= 1, got {num_runs}")
@@ -362,27 +354,28 @@ def run_replications(
         raise ValueError("resume=True requires checkpoint_dir")
     if trace_dir is not None and engine == "population":
         raise ValueError("trace_dir requires engine='reference' or 'fast'")
-    if checkpoint_dir is not None or resilience is not None:
-        if trace_dir is not None:
-            raise ValueError(
-                "trace_dir cannot be combined with checkpointed/resilient sweeps; "
-                "record traces in a plain run_replications call"
-            )
-        return _run_replications_resilient(
-            config,
-            num_runs=num_runs,
-            horizon=horizon,
-            warmup=warmup,
-            base_seed=base_seed,
-            pull_mode=pull_mode,
-            n_jobs=n_jobs,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            resilience=resilience,
-            engine=engine,
-            slo=slo,
+    if trace_dir is not None and (checkpoint_dir is not None or resilience is not None):
+        raise ValueError(
+            "trace_dir cannot be combined with checkpointed/resilient sweeps; "
+            "record traces in a plain run_replications call"
         )
     seeds = spawn_seeds(base_seed, num_runs)
+    store, done = _open_checkpoint(
+        checkpoint_dir,
+        config,
+        base_seed,
+        seeds,
+        horizon,
+        warmup,
+        pull_mode,
+        resume,
+        extra={
+            "num_runs": num_runs,
+            "n_jobs": n_jobs,
+            "engine": engine,
+            "slo": None if slo is None else slo.to_dict(),
+        },
+    )
     trace_paths: Optional[list[Path]] = None
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
@@ -391,10 +384,11 @@ def run_replications(
             trace_dir / f"trace-run{index:03d}-seed{seed}.jsonl"
             for index, seed in enumerate(seeds)
         ]
+    todo = [index for index, seed in enumerate(seeds) if seed not in done]
     tasks = [
         (
             config,
-            seed,
+            seeds[index],
             horizon,
             warmup,
             pull_mode,
@@ -402,12 +396,24 @@ def run_replications(
             engine,
             slo,
         )
-        for index, seed in enumerate(seeds)
+        for index in todo
     ]
-    with ParallelExecutor(n_jobs) as executor:
-        runs = tuple(executor.map(_replication_task, tasks))
+    with _sweep_executor(n_jobs, checkpoint_dir, resilience) as executor:
+        outcome = executor.run(
+            _replication_task,
+            tasks,
+            keys=[seeds[index] for index in todo],
+            on_result=None if store is None else store.save,
+        )
+    done.update((seeds[index], value) for index, value in zip(todo, outcome.results))
+    runs = tuple(done[seed] for seed in seeds if done[seed] is not None)
+    if not runs:
+        raise RuntimeError(
+            f"every replication was quarantined ({len(outcome.quarantined)} of "
+            f"{num_runs}); first failure: {outcome.quarantined[0].describe()}"
+        )
     if trace_paths is None:
-        return ReplicatedResult(runs=runs)
+        return ReplicatedResult(runs=runs, quarantine=outcome.quarantined)
     from ..obs import build_manifest, merge_trace_files, write_manifest, write_merged
 
     write_merged(merge_trace_files(trace_paths), trace_dir / "trace-merged.jsonl")
@@ -431,9 +437,13 @@ def run_replications(
 def _open_checkpoint(
     checkpoint_dir, config, base_seed, seeds, horizon, warmup, pull_mode, resume, extra
 ):
-    """Create/verify a sweep checkpoint store; ``None`` when not armed."""
+    """Open the optional sweep checkpoint; return it with the runs it holds.
+
+    Without ``checkpoint_dir`` the store is ``None``; without ``resume``
+    no run is loaded.  Runs load in sorted seed order.
+    """
     if checkpoint_dir is None:
-        return None
+        return None, {}
     # Lazy import: repro.resilience imports sim.metrics, so a top-level
     # import here would be circular.
     from ..resilience import CheckpointStore
@@ -449,77 +459,20 @@ def _open_checkpoint(
         resume=resume,
         extra=extra,
     )
-    return store
-
-
-def _run_replications_resilient(
-    config: HybridConfig,
-    num_runs: int,
-    horizon: float,
-    warmup: float | None,
-    base_seed: int,
-    pull_mode: PullMode,
-    n_jobs: int,
-    checkpoint_dir,
-    resume: bool,
-    resilience,
-    engine: Engine = "reference",
-    slo=None,
-) -> ReplicatedResult:
-    """Checkpointed / fault-tolerant body of :func:`run_replications`."""
-    from ..resilience import ResilienceConfig, ResilientExecutor
-
-    seeds = spawn_seeds(base_seed, num_runs)
-    store = _open_checkpoint(
-        checkpoint_dir,
-        config,
-        base_seed,
-        seeds,
-        horizon,
-        warmup,
-        pull_mode,
-        resume,
-        extra={
-            "num_runs": num_runs,
-            "n_jobs": n_jobs,
-            "engine": engine,
-            "slo": None if slo is None else slo.to_dict(),
-        },
-    )
-    by_seed: dict[int, SimulationResult] = {}
-    if store is not None and resume:
+    done: dict[int, SimulationResult] = {}
+    if resume:
         for seed in sorted(store.completed_seeds() & set(seeds)):
             loaded = store.load(seed)
             if loaded is not None:
-                by_seed[seed] = loaded
-    todo = [seed for seed in seeds if seed not in by_seed]
-    quarantine: tuple = ()
-    if todo:
-        executor = ResilientExecutor(
-            n_jobs=n_jobs,
-            resilience=resilience if resilience is not None else ResilienceConfig(),
-        )
-        on_result = None if store is None else store.save
-        outcome = executor.run(
-            _replication_task,
-            [
-                (config, seed, horizon, warmup, pull_mode, None, engine, slo)
-                for seed in todo
-            ],
-            keys=todo,
-            on_result=on_result,
-        )
-        for seed, value in zip(todo, outcome.results):
-            if value is not None:
-                by_seed[seed] = value
-        quarantine = outcome.quarantined
-    runs = tuple(by_seed[seed] for seed in seeds if seed in by_seed)
-    if not runs:
-        raise RuntimeError(
-            f"every replication was quarantined ({len(quarantine)} of "
-            f"{num_runs}); first failure: {quarantine[0].describe()}"
-        )
-    return ReplicatedResult(runs=runs, quarantine=quarantine)
+                done[seed] = loaded
+    return store, done
+
+
+def _sweep_executor(n_jobs: int, checkpoint_dir, resilience) -> ParallelExecutor:
+    """The executor of one sweep; a checkpointed sweep retries by default."""
+    if resilience is None and checkpoint_dir is not None:
+        resilience = ResilienceConfig()
+    return ParallelExecutor(n_jobs, resilience)
 
 
 def run_until_precision(
@@ -547,11 +500,11 @@ def run_until_precision(
     which happened: ``True`` when the target was reached, ``False`` when
     the run budget ran out first.
 
-    With ``n_jobs > 1`` the pilots and every subsequent batch of
-    ``n_jobs`` replications run in parallel, but the stopping rule is
-    still evaluated one run at a time in seed order (surplus batch
-    results are discarded), so the returned aggregate is bit-for-bit
-    identical for every ``n_jobs``.
+    The first batch holds every pilot; each later batch holds the next
+    ``n_jobs`` seeds, all on one pool.  The stopping rule is still evaluated
+    one run at a time in seed order (surplus batch results are
+    discarded), so the returned aggregate is bit-for-bit identical for
+    every ``n_jobs``.
 
     Parameters
     ----------
@@ -565,7 +518,7 @@ def run_until_precision(
         runs strictly in seed order, a resumed sequential sweep stops at
         the same run and returns a bit-identical aggregate.  Seeds whose
         runs are quarantined are skipped by the stopping rule and listed
-        on the result.  Both unset → the exact legacy code path.
+        on the result.
     """
     if not 0 < rel_halfwidth < 1:
         raise ValueError(f"rel_halfwidth must be in (0,1), got {rel_halfwidth}")
@@ -592,83 +545,8 @@ def run_until_precision(
             return _per_class[kind](agg, class_name)
         raise ValueError(f"unknown metric {metric!r}")
 
-    if checkpoint_dir is not None or resilience is not None:
-        return _run_until_precision_resilient(
-            config,
-            precision=precision,
-            rel_halfwidth=rel_halfwidth,
-            metric=metric,
-            min_runs=min_runs,
-            max_runs=max_runs,
-            horizon=horizon,
-            warmup=warmup,
-            base_seed=base_seed,
-            pull_mode=pull_mode,
-            n_jobs=n_jobs,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            resilience=resilience,
-            engine=engine,
-        )
-
-    tasks = [
-        (config, seed, horizon, warmup, pull_mode, None, engine)
-        for seed in spawn_seeds(base_seed, max_runs)
-    ]
-    with ParallelExecutor(n_jobs) as executor:
-        runs: list[SimulationResult] = list(
-            executor.map(_replication_task, tasks[:min_runs])
-        )
-        # Batch results computed ahead of the stopping rule but not yet
-        # consumed by it (kept so the rule still sees runs one at a time).
-        buffered: deque[SimulationResult] = deque()
-        next_task = min_runs
-        while True:
-            aggregate = ReplicatedResult(runs=tuple(runs))
-            mean, half = precision(aggregate)
-            if (
-                not math.isnan(half)
-                and mean != 0
-                and half / abs(mean) <= rel_halfwidth
-            ):
-                return ReplicatedResult(runs=tuple(runs), precision_met=True)
-            if len(runs) >= max_runs:
-                return ReplicatedResult(runs=tuple(runs), precision_met=False)
-            if not buffered:
-                batch = tasks[next_task : next_task + executor.n_jobs]
-                buffered.extend(executor.map(_replication_task, batch))
-                next_task += len(batch)
-            runs.append(buffered.popleft())
-
-
-def _run_until_precision_resilient(
-    config: HybridConfig,
-    precision,
-    rel_halfwidth: float,
-    metric: str,
-    min_runs: int,
-    max_runs: int,
-    horizon: float,
-    warmup: float | None,
-    base_seed: int,
-    pull_mode: PullMode,
-    n_jobs: int,
-    checkpoint_dir,
-    resume: bool,
-    resilience,
-    engine: Engine = "reference",
-) -> ReplicatedResult:
-    """Checkpointed / fault-tolerant body of :func:`run_until_precision`.
-
-    The stopping rule still consumes runs one at a time in seed order,
-    so for a given config the stop point — and therefore the returned
-    aggregate — is identical whether the sweep ran uninterrupted or was
-    resumed from any checkpoint prefix.
-    """
-    from ..resilience import ResilienceConfig, ResilientExecutor
-
     seeds = spawn_seeds(base_seed, max_runs)
-    store = _open_checkpoint(
+    store, done = _open_checkpoint(
         checkpoint_dir,
         config,
         base_seed,
@@ -680,86 +558,38 @@ def _run_until_precision_resilient(
         extra={"max_runs": max_runs, "metric": metric, "n_jobs": n_jobs,
                "engine": engine},
     )
-    executor = ResilientExecutor(
-        n_jobs=n_jobs,
-        resilience=resilience if resilience is not None else ResilienceConfig(),
-    )
-    available: dict[int, SimulationResult] = {}
-    if store is not None and resume:
-        for seed in sorted(store.completed_seeds() & set(seeds)):
-            loaded = store.load(seed)
-            if loaded is not None:
-                available[seed] = loaded
+    # ``done`` maps a seed to its run, or to None once it is quarantined.
     quarantine: list = []
-    quarantined_seeds: set[int] = set()
-    on_result = None if store is None else store.save
-    consumed = 0
-
-    def next_result() -> SimulationResult | None:
-        """Next run in seed order, simulating a batch on demand.
-
-        Returns ``None`` when the seed schedule is exhausted; seeds that
-        end up quarantined are skipped.
-        """
-        nonlocal consumed
-        while consumed < len(seeds):
-            seed = seeds[consumed]
-            if seed in available:
-                consumed += 1
-                return available.pop(seed)
-            if seed in quarantined_seeds:
-                consumed += 1
-                continue
-            batch = [
-                s
-                for s in seeds[consumed:]
-                if s not in available and s not in quarantined_seeds
-            ][: executor.n_jobs]
-            outcome = executor.run(
-                _replication_task,
-                [(config, s, horizon, warmup, pull_mode, None, engine) for s in batch],
-                keys=batch,
-                on_result=on_result,
-            )
-            for s, value in zip(batch, outcome.results):
-                if value is not None:
-                    available[s] = value
-            for entry in outcome.quarantined:
-                quarantine.append(entry)
-                quarantined_seeds.add(entry.seed)
-        return None
-
     runs: list[SimulationResult] = []
-    exhausted = False
-    while len(runs) < min_runs:
-        result = next_result()
-        if result is None:
-            exhausted = True
-            break
-        runs.append(result)
+    with _sweep_executor(n_jobs, checkpoint_dir, resilience) as executor:
+        for index, seed in enumerate(seeds):
+            if seed not in done:
+                window = seeds[index : max(min_runs, index + executor.n_jobs)]
+                batch = [s for s in window if s not in done]
+                outcome = executor.run(
+                    _replication_task,
+                    [(config, s, horizon, warmup, pull_mode, None, engine, None)
+                     for s in batch],
+                    keys=batch,
+                    on_result=None if store is None else store.save,
+                )
+                done.update(zip(batch, outcome.results))
+                quarantine.extend(outcome.quarantined)
+            if done[seed] is None:
+                continue
+            runs.append(done[seed])
+            if len(runs) < min_runs:
+                continue
+            mean, half = precision(ReplicatedResult(runs=tuple(runs)))
+            if not math.isnan(half) and mean != 0 and half / abs(mean) <= rel_halfwidth:
+                return ReplicatedResult(
+                    runs=tuple(runs), precision_met=True, quarantine=tuple(quarantine)
+                )
     if not runs:
         raise RuntimeError(
             f"every replication was quarantined ({len(quarantine)} of "
             f"{max_runs}); first failure: {quarantine[0].describe()}"
         )
-    while True:
-        aggregate = ReplicatedResult(runs=tuple(runs))
-        mean, half = precision(aggregate)
-        if (
-            len(runs) >= min_runs
-            and not math.isnan(half)
-            and mean != 0
-            and half / abs(mean) <= rel_halfwidth
-        ):
-            return ReplicatedResult(
-                runs=tuple(runs), precision_met=True, quarantine=tuple(quarantine)
-            )
-        if exhausted or len(runs) >= max_runs:
-            return ReplicatedResult(
-                runs=tuple(runs), precision_met=False, quarantine=tuple(quarantine)
-            )
-        result = next_result()
-        if result is None:
-            exhausted = True
-            continue
-        runs.append(result)
+    return ReplicatedResult(
+        runs=tuple(runs), precision_met=False, quarantine=tuple(quarantine)
+    )

@@ -73,7 +73,8 @@ class UplinkChannel:
         self.accepted = Counter()
         self._queue: Store | None = None
         if not math.isinf(self.rate):
-            # +1 slot models the request currently being transmitted.
+            # +1 slot holds the request accepted while the channel is idle,
+            # until the transmit loop takes it on air.
             self._queue = Store(env, capacity=self.buffer + 1)
             env.process(self._transmit_loop())
 
@@ -96,7 +97,9 @@ class UplinkChannel:
             self.delivered.increment()
             self.deliver(request)
             return True
-        if len(self._queue.items) >= self._queue.capacity:
+        # ``Store.get`` has already removed the request on air from the
+        # store, so count it through ``in_transit``.
+        if self.in_transit > self.buffer:
             self.dropped.increment()
             return False
         self.accepted.increment()

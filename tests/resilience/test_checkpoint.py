@@ -191,3 +191,37 @@ class TestResumeLoadOrder:
         assert len(loads) == 4
         assert loads == sorted(loads)
         assert len(resumed.runs) == 4
+
+
+class TestResumeRefusesOtherRunShapes:
+    """The engine and the SLO spec shape every run, so a resume checks them.
+
+    Without the check, a reference-engine checkpoint resumed as a fast
+    sweep returned reference and fast runs mixed in one aggregate.
+    """
+
+    def _sweep(self, directory, **kwargs):
+        from repro.sim import run_replications
+
+        return run_replications(
+            CONFIG, num_runs=2, horizon=HORIZON, warmup=WARMUP, base_seed=5,
+            checkpoint_dir=directory, **kwargs,
+        )
+
+    def test_resume_refuses_different_engine(self, tmp_path):
+        self._sweep(tmp_path / "ck", engine="reference")
+        with pytest.raises(CheckpointMismatch, match="engine"):
+            self._sweep(tmp_path / "ck", resume=True, engine="fast")
+
+    def test_resume_refuses_different_slo(self, tmp_path):
+        from repro.control import ClassSLO, SLOSpec
+
+        self._sweep(tmp_path / "ck")
+        spec = SLOSpec(targets=(("A", ClassSLO(delay_mean=50.0)),))
+        with pytest.raises(CheckpointMismatch, match="slo"):
+            self._sweep(tmp_path / "ck", resume=True, slo=spec)
+
+    def test_resume_accepts_same_engine_and_slo(self, tmp_path):
+        first = self._sweep(tmp_path / "ck", engine="fast")
+        again = self._sweep(tmp_path / "ck", resume=True, engine="fast")
+        assert all(results_identical(a, b) for a, b in zip(first.runs, again.runs))

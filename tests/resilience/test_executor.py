@@ -1,4 +1,4 @@
-"""Chaos tests for the fault-tolerant sweep executor (PR 4).
+"""Chaos tests for the sweep executor under a resilience policy (PR 4).
 
 Workers that crash, hang, or fail transiently must never lose a run
 silently: either the run completes after a bounded retry or it lands on
@@ -11,12 +11,8 @@ import time
 import pytest
 
 from repro.core import HybridConfig
-from repro.resilience import (
-    QuarantinedRun,
-    ResilienceConfig,
-    ResilientExecutor,
-    SweepOutcome,
-)
+from repro.resilience import QuarantinedRun, ResilienceConfig, SweepOutcome
+from repro.sim import ParallelExecutor
 from repro.sim.runner import ReplicatedResult, run_replications, run_single
 
 
@@ -77,20 +73,20 @@ class TestResilienceConfigValidation:
 
 class TestSerialExecution:
     def test_plain_map(self):
-        outcome = ResilientExecutor(1).run(_double, [1, 2, 3])
+        outcome = ParallelExecutor(1, ResilienceConfig()).run(_double, [1, 2, 3])
         assert outcome.results == (2, 4, 6)
         assert outcome.quarantined == ()
 
     def test_retry_then_succeed(self, tmp_path):
         sentinel = str(tmp_path / "seen")
-        outcome = ResilientExecutor(1).run(_fail_once_in_process, [(sentinel, 5)])
+        outcome = ParallelExecutor(1, ResilienceConfig()).run(
+            _fail_once_in_process, [(sentinel, 5)]
+        )
         assert outcome.results == (10,)
         assert outcome.quarantined == ()
 
     def test_quarantine_after_budget(self):
-        executor = ResilientExecutor(
-            1, ResilienceConfig(max_retries=2)
-        )
+        executor = ParallelExecutor(1, ResilienceConfig(max_retries=2))
         outcome = executor.run(_always_fail, ["x"], keys=[77])
         assert outcome.results == (None,)
         (entry,) = outcome.quarantined
@@ -100,21 +96,21 @@ class TestSerialExecution:
 
     def test_on_result_called_per_completion(self):
         seen = []
-        ResilientExecutor(1).run(
+        ParallelExecutor(1, ResilienceConfig()).run(
             _double, [1, 2], keys=[10, 20], on_result=lambda k, v: seen.append((k, v))
         )
         assert seen == [(10, 2), (20, 4)]
 
     def test_keys_must_align(self):
         with pytest.raises(ValueError, match="align"):
-            ResilientExecutor(1).run(_double, [1, 2], keys=[1])
+            ParallelExecutor(1, ResilienceConfig()).run(_double, [1, 2], keys=[1])
 
 
 class TestParallelChaos:
     def test_worker_crash_is_retried(self, tmp_path):
         sentinels = [str(tmp_path / f"s{i}") for i in range(3)]
-        executor = ResilientExecutor(2, ResilienceConfig(max_retries=2))
-        outcome = executor.run(_crash_once, list(zip(sentinels, [1, 2, 3])))
+        with ParallelExecutor(2, ResilienceConfig(max_retries=2)) as executor:
+            outcome = executor.run(_crash_once, list(zip(sentinels, [1, 2, 3])))
         assert outcome.results == (2, 4, 6)
         assert outcome.quarantined == ()
 
@@ -122,25 +118,23 @@ class TestParallelChaos:
         # max_retries=0: the first crash exhausts every run's budget
         # (innocent in-flight runs are charged too — the pool's death is
         # unattributable), so nothing completes and all runs surface.
-        executor = ResilientExecutor(2, ResilienceConfig(max_retries=0))
         # A single payload would take the serial path (where _crash_once's
         # os._exit would kill the test runner itself); force the pool path.
-        outcome = executor._run_parallel(
-            _crash_once, [(str(tmp_path / "t"), 1)], [5], None
-        )
+        with ParallelExecutor(2, ResilienceConfig(max_retries=0)) as executor:
+            outcome = executor._run_parallel(
+                _crash_once, [(str(tmp_path / "t"), 1)], [5], None
+            )
         assert outcome.results == (None,)
         (entry,) = outcome.quarantined
         assert entry.seed == 5
         assert entry.attempts == 1
 
     def test_hung_worker_times_out_and_others_survive(self, tmp_path):
-        executor = ResilientExecutor(
-            2, ResilienceConfig(timeout=2.0, max_retries=0)
-        )
         payloads = [(True, 0), (False, 1), (False, 2), (False, 3)]
-        outcome = executor.run(
-            _hang_or_return, payloads, keys=[100, 101, 102, 103]
-        )
+        with ParallelExecutor(2, ResilienceConfig(timeout=2.0, max_retries=0)) as executor:
+            outcome = executor.run(
+                _hang_or_return, payloads, keys=[100, 101, 102, 103]
+            )
         assert outcome.results[1:] == (2, 4, 6)
         assert outcome.results[0] is None
         (entry,) = outcome.quarantined
@@ -148,7 +142,8 @@ class TestParallelChaos:
         assert "timeout" in entry.error
 
     def test_order_preserved_under_load(self):
-        outcome = ResilientExecutor(2).run(_double, list(range(12)))
+        with ParallelExecutor(2, ResilienceConfig()) as executor:
+            outcome = executor.run(_double, list(range(12)))
         assert outcome.results == tuple(2 * x for x in range(12))
 
 

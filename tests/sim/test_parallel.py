@@ -35,48 +35,48 @@ class TestResolveJobs:
 class TestParallelExecutor:
     def test_serial_path_never_creates_pool(self):
         with ParallelExecutor(1) as executor:
-            assert executor.map(_square, range(5)) == [0, 1, 4, 9, 16]
+            assert executor.run(_square, range(5)).results == (0, 1, 4, 9, 16)
             assert executor._pool is None
 
     def test_serial_path_accepts_closures(self):
         # n_jobs=1 stays fully in-process, so unpicklable callables work.
         offset = 3
         with ParallelExecutor(1) as executor:
-            assert executor.map(lambda x: x + offset, [1, 2]) == [4, 5]
+            assert executor.run(lambda x: x + offset, [1, 2]).results == (4, 5)
 
     def test_parallel_map_preserves_order(self):
         with ParallelExecutor(2) as executor:
-            assert executor.map(_square, range(8)) == [x * x for x in range(8)]
+            assert executor.run(_square, range(8)).results == tuple(x * x for x in range(8))
 
     def test_pool_reused_across_batches(self):
         with ParallelExecutor(2) as executor:
-            executor.map(_square, range(4))
+            executor.run(_square, range(4))
             pool = executor._pool
-            executor.map(_square, range(4))
+            executor.run(_square, range(4))
             assert executor._pool is pool
         assert executor._pool is None
 
     def test_single_task_runs_in_process(self):
         with ParallelExecutor(4) as executor:
-            assert executor.map(_square, [7]) == [49]
+            assert executor.run(_square, [7]).results == (49,)
             assert executor._pool is None
 
     def test_aborted_map_reaps_the_pool(self):
-        # Regression (PR 4): an exception escaping map() used to leave
+        # Regression (PR 4): an exception escaping run() used to leave
         # the worker pool alive with queued tasks still running, leaking
         # processes when the caller was interrupted (e.g. Ctrl-C during
         # a sweep).  The finally block must drop and cancel the pool.
         executor = ParallelExecutor(2)
         with pytest.raises(RuntimeError):
-            executor.map(_fail_on_three, range(8))
+            executor.run(_fail_on_three, range(8))
         assert executor._pool is None
 
     def test_map_after_abort_recovers(self):
         executor = ParallelExecutor(2)
         with pytest.raises(RuntimeError):
-            executor.map(_fail_on_three, range(8))
+            executor.run(_fail_on_three, range(8))
         # A fresh pool is built transparently on the next call.
-        assert executor.map(_square, range(4)) == [0, 1, 4, 9]
+        assert executor.run(_square, range(4)).results == (0, 1, 4, 9)
         executor.close()
 
 
@@ -112,7 +112,7 @@ class TestWorkerTask:
         from repro.core import HybridConfig
 
         config = HybridConfig(num_items=20, cutoff=8, arrival_rate=1.0, num_clients=30)
-        task = (config, 3, 200.0, 20.0, "serial", None, "reference")
+        task = (config, 3, 200.0, 20.0, "serial", None, "reference", None)
         # The worker contract: payload and result must survive pickling.
         result = _replication_task(pickle.loads(pickle.dumps(task)))
         assert result.seed == 3

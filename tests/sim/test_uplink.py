@@ -61,6 +61,24 @@ class TestFiniteChannel:
         assert not channel.offer(req())
         assert channel.dropped.count == 1
 
+    @pytest.mark.parametrize("buffer", [0, 1, 3])
+    def test_waiting_room_excludes_the_request_on_air(self, buffer):
+        # Once the transmit loop runs, the channel holds one request on
+        # air plus ``buffer`` waiting; the offer after that is dropped.
+        env = Environment()
+        channel = UplinkChannel(env, deliver=lambda r: None, rate=1.0, buffer=buffer)
+        accepted = []
+
+        def offer_burst():
+            yield env.timeout(0.5)
+            accepted.extend(channel.offer(req(0.5)) for _ in range(buffer + 2))
+
+        env.process(offer_burst())
+        env.run()
+        assert accepted == [True] * (buffer + 1) + [False]
+        assert channel.dropped.count == 1
+        assert channel.delivered.count == buffer + 1
+
     def test_buffer_drains_and_accepts_again(self):
         env = Environment()
         channel = UplinkChannel(env, deliver=lambda r: None, rate=1.0, buffer=0)
