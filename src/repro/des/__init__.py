@@ -7,9 +7,7 @@ plus named random streams and output-analysis monitors.  Public surface:
 
 * :class:`Environment`, :class:`Event`, :class:`Timeout`, :class:`Process`,
   :class:`Interrupt`, :class:`AllOf`, :class:`AnyOf`
-* Resources: :class:`Resource`, :class:`PriorityResource`,
-  :class:`Container`, :class:`Store`, :class:`FilterStore`,
-  :class:`PriorityStore`, :class:`PriorityItem`
+* Queueing: :class:`Store` (the finite uplink's FIFO request buffer)
 * Reproducibility: :class:`RandomStreams`
 * Measurement: :class:`Tally`, :class:`TimeWeighted`, :class:`Counter`,
   :func:`batch_means_ci`
@@ -19,20 +17,7 @@ from .engine import EmptySchedule, Environment, StopSimulation
 from .events import NORMAL, PENDING, URGENT, AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from .monitor import Counter, Tally, TimeWeighted, batch_means_ci
 from .process import Interrupt, Process, ProcessGenerator
-from .resources import (
-    Container,
-    FilterStore,
-    Preempted,
-    PreemptiveRequest,
-    PreemptiveResource,
-    PriorityItem,
-    PriorityResource,
-    PriorityStore,
-    Release,
-    Request,
-    Resource,
-    Store,
-)
+from .resources import Store
 from .rng import RandomStreams, stable_key
 
 __all__ = [
@@ -51,18 +36,7 @@ __all__ = [
     "Process",
     "ProcessGenerator",
     "Interrupt",
-    "Resource",
-    "PriorityResource",
-    "PreemptiveResource",
-    "PreemptiveRequest",
-    "Preempted",
-    "Request",
-    "Release",
-    "Container",
     "Store",
-    "FilterStore",
-    "PriorityStore",
-    "PriorityItem",
     "RandomStreams",
     "stable_key",
     "Tally",

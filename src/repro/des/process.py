@@ -90,9 +90,9 @@ class _Interruption(Event):
                 target.callbacks.remove(process._resume)
             except ValueError:  # pragma: no cover - defensive
                 pass
-            # If the abandoned event is a resource/store request, withdraw
-            # it — otherwise a later put/release could satisfy a waiter
-            # that no longer exists and silently lose the item/slot.
+            # If the abandoned event is a store put or get, withdraw it —
+            # otherwise a later put could satisfy a waiter that no longer
+            # exists and silently lose the item.
             cancel = getattr(target, "cancel", None)
             if callable(cancel) and not target.triggered:
                 cancel()

@@ -1,449 +1,63 @@
-"""Shared-resource primitives built on top of the event core.
+"""The object store that carries the finite uplink's request queue.
 
-Four families, mirroring the classical DES toolkit:
-
-* :class:`Resource` / :class:`PriorityResource` — a server pool with a
-  fixed number of usage slots; requests queue (FIFO, or by priority).
-* :class:`Container` — a homogeneous bulk store (e.g. bandwidth, fuel)
-  supporting amount-based ``put``/``get``.
-* :class:`Store` / :class:`FilterStore` / :class:`PriorityStore` — object
-  stores for producer/consumer pipelines.
-
-All request events work as context managers so the canonical usage is::
-
-    with resource.request() as req:
-        yield req
-        ... hold the resource ...
-    # released automatically
+:class:`Store` is a FIFO buffer of Python objects with an optional
+capacity bound: a put waits while the store is full, a get waits while it
+is empty.  A queued put or get can be withdrawn with ``cancel()``;
+interrupt delivery does so for the event an interrupted process
+abandons, so a later put cannot hand an item to a waiter that is gone.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from types import TracebackType
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any
 
 from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Environment
 
-__all__ = [
-    "Resource",
-    "PriorityResource",
-    "PreemptiveResource",
-    "PreemptiveRequest",
-    "Preempted",
-    "Request",
-    "PriorityRequest",
-    "Release",
-    "Container",
-    "ContainerPut",
-    "ContainerGet",
-    "Store",
-    "StorePut",
-    "StoreGet",
-    "FilterStore",
-    "FilterStoreGet",
-    "PriorityItem",
-    "PriorityStore",
-]
+__all__ = ["Store", "StorePut", "StoreGet"]
 
 
-class _BaseRequest(Event):
-    """Common machinery for resource/container/store request events.
+class _StoreRequest(Event):
+    """A put or get waiting in one of its :class:`Store`'s queues."""
 
-    Subclasses set themselves up in the owning facility's wait queue; the
-    facility triggers them as capacity/items become available.
-    """
+    __slots__ = ("_queue",)
 
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "_BaseFacility") -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-
-    # Context-manager protocol: `with res.request() as req: yield req`.
-    def __enter__(self) -> "_BaseRequest":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc_value: BaseException | None,
-        traceback: TracebackType | None,
-    ) -> None:
-        self.cancel()
+    def __init__(self, store: "Store", queue: list[Any]) -> None:
+        super().__init__(store.env)
+        self._queue = queue
+        queue.append(self)
 
     def cancel(self) -> None:
-        """Withdraw this request (and release what it acquired, if anything)."""
-        raise NotImplementedError
+        """Withdraw this request if it is still waiting."""
+        if not self.triggered and self in self._queue:
+            self._queue.remove(self)
 
 
-class _BaseFacility:
-    """Base class holding the environment pointer and queue-stir logic."""
-
-    def __init__(self, env: "Environment") -> None:
-        self.env = env
-
-
-# --------------------------------------------------------------------------
-# Resource: a pool of identical usage slots
-# --------------------------------------------------------------------------
-
-
-class Request(_BaseRequest):
-    """Request one usage slot of a :class:`Resource`."""
-
-    __slots__ = ("usage_since",)
-
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource)
-        #: Simulation time at which the slot was granted (``None`` before).
-        self.usage_since: Optional[float] = None
-        resource._queue.append(self)
-        resource._trigger_get()
-
-    def cancel(self) -> None:
-        """Release the slot if held, else withdraw from the wait queue."""
-        if self.usage_since is not None:
-            Release(self.resource, self)
-        elif self in self.resource._queue:
-            self.resource._queue.remove(self)
-
-
-class PriorityRequest(Request):
-    """Request with an explicit ``priority`` (smaller = more important).
-
-    Ties break by request time, then insertion order.
-    """
-
-    __slots__ = ("priority", "time", "_key")
-
-    def __init__(self, resource: "PriorityResource", priority: float = 0.0) -> None:
-        self.priority = priority
-        self.time = resource.env.now
-        resource._counter += 1
-        self._key = (priority, self.time, resource._counter)
-        super().__init__(resource)
-
-
-class Release(Event):
-    """Event returning a granted :class:`Request`'s slot to the resource.
-
-    Succeeds immediately; exists as an event so that ``yield res.release(req)``
-    is legal and symmetric with ``request()``.
-    """
-
-    __slots__ = ("resource", "request")
-
-    def __init__(self, resource: "Resource", request: Request) -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-        self.request = request
-        if request in resource.users:
-            resource.users.remove(request)
-            resource._trigger_get()
-        self.succeed()
-
-
-class Resource(_BaseFacility):
-    """A pool of ``capacity`` identical usage slots with a FIFO wait queue.
-
-    Parameters
-    ----------
-    env:
-        Host environment.
-    capacity:
-        Number of concurrent holders (must be >= 1).
-    """
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        super().__init__(env)
-        self._capacity = int(capacity)
-        #: Requests currently holding a slot.
-        self.users: list[Request] = []
-        self._queue: list[Request] = []
-
-    @property
-    def capacity(self) -> int:
-        """Total number of slots."""
-        return self._capacity
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently in use."""
-        return len(self.users)
-
-    @property
-    def queue(self) -> list[Request]:
-        """Requests waiting for a slot (read-only view)."""
-        return list(self._queue)
-
-    def request(self) -> Request:
-        """Create (and enqueue) a new slot request event."""
-        return Request(self)
-
-    def release(self, request: Request) -> Release:
-        """Return ``request``'s slot to the pool."""
-        return Release(self, request)
-
-    # -- internal ----------------------------------------------------------
-    def _select(self) -> Request:
-        return self._queue[0]
-
-    def _pop(self, request: Request) -> None:
-        self._queue.remove(request)
-
-    def _trigger_get(self) -> None:
-        """Grant slots to waiting requests while capacity remains."""
-        while self._queue and len(self.users) < self._capacity:
-            request = self._select()
-            self._pop(request)
-            request.usage_since = self.env.now
-            self.users.append(request)
-            request.succeed()
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` whose wait queue is ordered by request priority."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._counter = 0
-
-    def request(self, priority: float = 0.0) -> PriorityRequest:  # type: ignore[override]
-        """Create a prioritized slot request (smaller priority served first)."""
-        return PriorityRequest(self, priority)
-
-    def _select(self) -> Request:
-        return min(self._queue, key=lambda r: r._key)  # type: ignore[attr-defined]
-
-
-class Preempted:
-    """Cause object delivered with the interrupt on preemption.
-
-    Attributes
-    ----------
-    by:
-        The preempting request.
-    usage_since:
-        When the victim acquired the slot.
-    """
-
-    __slots__ = ("by", "usage_since")
-
-    def __init__(self, by: "PreemptiveRequest", usage_since: float) -> None:
-        self.by = by
-        self.usage_since = usage_since
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return f"Preempted(by={self.by!r}, usage_since={self.usage_since})"
-
-
-class PreemptiveRequest(PriorityRequest):
-    """Priority request that may evict a lower-priority slot holder."""
-
-    __slots__ = ("preempt", "process")
-
-    def __init__(
-        self, resource: "PreemptiveResource", priority: float = 0.0, preempt: bool = True
-    ) -> None:
-        self.preempt = preempt
-        # The process issuing the request is the one to interrupt if this
-        # request is itself later preempted.
-        self.process = resource.env.active_process
-        super().__init__(resource, priority)
-
-
-class PreemptiveResource(PriorityResource):
-    """Priority resource where higher-priority requests evict holders.
-
-    When the pool is full and a new request outranks the weakest current
-    holder, that holder's process receives an
-    :class:`~repro.des.process.Interrupt` whose cause is a
-    :class:`Preempted` record, and the slot transfers.  Ties never
-    preempt (strictly smaller priority value wins).
-    """
-
-    def request(self, priority: float = 0.0, preempt: bool = True) -> PreemptiveRequest:  # type: ignore[override]
-        """Create a (possibly preempting) prioritized slot request."""
-        return PreemptiveRequest(self, priority, preempt)
-
-    def _trigger_get(self) -> None:
-        # First try normal grants, then preemption for what's left queued.
-        super()._trigger_get()
-        if not self._queue:
-            return
-        for request in sorted(self._queue, key=lambda r: r._key):  # type: ignore[attr-defined]
-            if not getattr(request, "preempt", False):
-                continue
-            victims = [
-                u
-                for u in self.users
-                if isinstance(u, PreemptiveRequest)
-                and u.priority > request.priority  # strictly weaker
-            ]
-            if not victims:
-                continue
-            victim = max(victims, key=lambda u: (u.priority, u.time))
-            self.users.remove(victim)
-            if victim.process is not None and victim.process.is_alive:
-                victim.process.interrupt(
-                    Preempted(by=request, usage_since=victim.usage_since)
-                )
-            self._queue.remove(request)
-            request.usage_since = self.env.now
-            self.users.append(request)
-            request.succeed()
-
-
-# --------------------------------------------------------------------------
-# Container: bulk quantities
-# --------------------------------------------------------------------------
-
-
-class ContainerPut(_BaseRequest):
-    """Deposit ``amount`` into a :class:`Container` (may wait for headroom)."""
-
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"put amount must be > 0, got {amount}")
-        super().__init__(container)
-        self.amount = amount
-        container._put_queue.append(self)
-        container._stir()
-
-    def cancel(self) -> None:
-        if not self.triggered and self in self.resource._put_queue:  # type: ignore[attr-defined]
-            self.resource._put_queue.remove(self)  # type: ignore[attr-defined]
-
-
-class ContainerGet(_BaseRequest):
-    """Withdraw ``amount`` from a :class:`Container` (may wait for stock)."""
-
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        if amount <= 0:
-            raise ValueError(f"get amount must be > 0, got {amount}")
-        super().__init__(container)
-        self.amount = amount
-        container._get_queue.append(self)
-        container._stir()
-
-    def cancel(self) -> None:
-        if not self.triggered and self in self.resource._get_queue:  # type: ignore[attr-defined]
-            self.resource._get_queue.remove(self)  # type: ignore[attr-defined]
-
-
-class Container(_BaseFacility):
-    """A homogeneous bulk resource (e.g. a bandwidth pool).
-
-    Parameters
-    ----------
-    env:
-        Host environment.
-    capacity:
-        Maximum level (default unbounded).
-    init:
-        Initial level (default 0).
-    """
-
-    def __init__(
-        self, env: "Environment", capacity: float = math.inf, init: float = 0.0
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init level {init} outside [0, {capacity}]")
-        super().__init__(env)
-        self._capacity = capacity
-        self._level = float(init)
-        self._put_queue: list[ContainerPut] = []
-        self._get_queue: list[ContainerGet] = []
-
-    @property
-    def capacity(self) -> float:
-        """Maximum level of the container."""
-        return self._capacity
-
-    @property
-    def level(self) -> float:
-        """Current amount stored."""
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        """Deposit ``amount``; the event triggers when there is headroom."""
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        """Withdraw ``amount``; the event triggers when stock suffices."""
-        return ContainerGet(self, amount)
-
-    def _stir(self) -> None:
-        """Serve queued puts/gets until neither can progress (FIFO order)."""
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_queue:
-                put = self._put_queue[0]
-                if self._level + put.amount <= self._capacity:
-                    self._put_queue.pop(0)
-                    self._level += put.amount
-                    put.succeed()
-                    progressed = True
-            if self._get_queue:
-                get = self._get_queue[0]
-                if self._level >= get.amount:
-                    self._get_queue.pop(0)
-                    self._level -= get.amount
-                    get.succeed(get.amount)
-                    progressed = True
-
-
-# --------------------------------------------------------------------------
-# Stores: object pipelines
-# --------------------------------------------------------------------------
-
-
-class StorePut(_BaseRequest):
+class StorePut(_StoreRequest):
     """Insert ``item`` into a :class:`Store` (waits while the store is full)."""
 
     __slots__ = ("item",)
 
     def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store)
         self.item = item
-        store._put_queue.append(self)
+        super().__init__(store, store._put_queue)
         store._stir()
 
-    def cancel(self) -> None:
-        if not self.triggered and self in self.resource._put_queue:  # type: ignore[attr-defined]
-            self.resource._put_queue.remove(self)  # type: ignore[attr-defined]
 
-
-class StoreGet(_BaseRequest):
+class StoreGet(_StoreRequest):
     """Retrieve the next item from a :class:`Store` (waits while empty)."""
 
     __slots__ = ()
 
     def __init__(self, store: "Store") -> None:
-        super().__init__(store)
-        store._get_queue.append(self)
+        super().__init__(store, store._get_queue)
         store._stir()
 
-    def cancel(self) -> None:
-        if not self.triggered and self in self.resource._get_queue:  # type: ignore[attr-defined]
-            self.resource._get_queue.remove(self)  # type: ignore[attr-defined]
 
-
-class Store(_BaseFacility):
+class Store:
     """FIFO object store with optional capacity bound.
 
     Parameters
@@ -457,16 +71,11 @@ class Store(_BaseFacility):
     def __init__(self, env: "Environment", capacity: float = math.inf) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
-        super().__init__(env)
-        self._capacity = capacity
+        self.env = env
+        self.capacity = capacity
         self.items: list[Any] = []
         self._put_queue: list[StorePut] = []
         self._get_queue: list[StoreGet] = []
-
-    @property
-    def capacity(self) -> float:
-        """Maximum number of items the store holds."""
-        return self._capacity
 
     def put(self, item: Any) -> StorePut:
         """Insert ``item``; triggers once the store has room."""
@@ -476,94 +85,16 @@ class Store(_BaseFacility):
         """Retrieve an item; triggers once one is available."""
         return StoreGet(self)
 
-    # -- internal ----------------------------------------------------------
-    def _do_put(self, event: StorePut) -> bool:
-        if len(self.items) < self._capacity:
-            self._insert(event.item)
-            event.succeed()
-            return True
-        return False
-
-    def _insert(self, item: Any) -> None:
-        self.items.append(item)
-
-    def _do_get(self, event: StoreGet) -> bool:
-        if self.items:
-            event.succeed(self._extract(event))
-            return True
-        return False
-
-    def _extract(self, event: StoreGet) -> Any:
-        return self.items.pop(0)
-
     def _stir(self) -> None:
+        """Serve the head put and the head get, in FIFO order, until neither can."""
         progressed = True
         while progressed:
             progressed = False
-            if self._put_queue and self._do_put(self._put_queue[0]):
-                self._put_queue.pop(0)
+            if self._put_queue and len(self.items) < self.capacity:
+                put = self._put_queue.pop(0)
+                self.items.append(put.item)
+                put.succeed()
                 progressed = True
-            # Gets may be filtered, so scan for the first satisfiable one.
-            for get in list(self._get_queue):
-                if self._do_get(get):
-                    self._get_queue.remove(get)
-                    progressed = True
-                    break
-
-
-class FilterStoreGet(StoreGet):
-    """Retrieve the first stored item satisfying ``filter``."""
-
-    __slots__ = ("filter",)
-
-    def __init__(self, store: "FilterStore", filter: Callable[[Any], bool]) -> None:
-        self.filter = filter
-        super().__init__(store)
-
-
-class FilterStore(Store):
-    """A :class:`Store` whose consumers may select items with a predicate."""
-
-    def get(self, filter: Callable[[Any], bool] = lambda item: True) -> FilterStoreGet:  # type: ignore[override]
-        """Retrieve the first item for which ``filter(item)`` is true."""
-        return FilterStoreGet(self, filter)
-
-    def _do_get(self, event: StoreGet) -> bool:
-        predicate = getattr(event, "filter", lambda item: True)
-        for item in self.items:
-            if predicate(item):
-                self.items.remove(item)
-                event.succeed(item)
-                return True
-        return False
-
-
-class PriorityItem:
-    """Orderable wrapper pairing a sort key with an arbitrary payload."""
-
-    __slots__ = ("priority", "item")
-
-    def __init__(self, priority: Any, item: Any) -> None:
-        self.priority = priority
-        self.item = item
-
-    def __lt__(self, other: "PriorityItem") -> bool:
-        return self.priority < other.priority
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PriorityItem):
-            return NotImplemented
-        return self.priority == other.priority and self.item == other.item
-
-    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
-        return f"PriorityItem(priority={self.priority!r}, item={self.item!r})"
-
-
-class PriorityStore(Store):
-    """A :class:`Store` that always yields its smallest item (heap order)."""
-
-    def _insert(self, item: Any) -> None:
-        heapq.heappush(self.items, item)
-
-    def _extract(self, event: StoreGet) -> Any:
-        return heapq.heappop(self.items)
+            if self._get_queue and self.items:
+                self._get_queue.pop(0).succeed(self.items.pop(0))
+                progressed = True

@@ -159,9 +159,11 @@ class CheckpointStore:
             "base_seed": int(base_seed),
             "horizon": float(horizon),
             "pull_mode": str(pull_mode),
+            # A manifest written without a warm-up reads back ``None``;
+            # comparing it every time keeps a resume from mixing two
+            # warm-ups in one aggregate.
+            "warmup": None if warmup is None else float(warmup),
         }
-        if warmup is not None:
-            expected["warmup"] = float(warmup)
         # The engine and the SLO spec shape every run as much as the
         # config does, so they identify the sweep too.
         expected.update({k: v for k, v in (extra or {}).items() if k in ("engine", "slo")})

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.des import (
-    Container,
-    Environment,
-    Event,
-    Interrupt,
-    Resource,
-    Store,
-)
+from repro.des import Environment, Interrupt, Store
 
 
 @pytest.fixture()
@@ -97,71 +90,6 @@ class TestProcessEdgeCases:
         assert p.target is None  # finished
 
 
-class TestResourceEdgeCases:
-    def test_cancel_after_grant_releases(self, env):
-        res = Resource(env, capacity=1)
-
-        def user(env):
-            req = res.request()
-            yield req
-            req.cancel()  # equivalent to release
-            assert res.count == 0
-
-        env.process(user(env))
-        env.run()
-
-    def test_release_foreign_request_is_noop(self, env):
-        res = Resource(env, capacity=1)
-
-        def holder(env):
-            with res.request() as req:
-                yield req
-                # Releasing an unrelated (never granted) request object
-                # must not free the held slot.
-                stranger = res.request()
-                stranger.cancel()
-                yield env.timeout(1)
-                assert res.count == 1
-
-        env.process(holder(env))
-        env.run()
-
-
-class TestContainerEdgeCases:
-    def test_fifo_get_ordering_prevents_starvation(self, env):
-        tank = Container(env, capacity=100, init=0)
-        order = []
-
-        def consumer(env, name, amount):
-            yield tank.get(amount)
-            order.append(name)
-
-        def producer(env):
-            yield env.timeout(1)
-            yield tank.put(5)  # enough for 'big'? no - big needs 10
-            yield env.timeout(1)
-            yield tank.put(10)
-
-        env.process(consumer(env, "big", 10))
-        env.process(consumer(env, "small", 2))
-        env.process(producer(env))
-        env.run()
-        # Strict FIFO: 'small' must wait behind 'big' even though stock
-        # could have served it earlier.
-        assert order == ["big", "small"]
-
-    def test_level_reflects_pending_puts(self, env):
-        tank = Container(env, capacity=10, init=0)
-
-        def producer(env):
-            yield tank.put(4)
-            yield tank.put(4)
-
-        env.process(producer(env))
-        env.run()
-        assert tank.level == 8
-
-
 class TestStoreEdgeCases:
     def test_cancel_queued_get(self, env):
         store = Store(env)
@@ -207,33 +135,3 @@ class TestStoreEdgeCases:
         # The interrupted consumer's pending get was withdrawn, so the
         # item must still be in the store (not lost to a dead waiter).
         assert store.items == ["late"]
-
-    def test_interrupted_resource_waiter_leaves_queue(self, env):
-        from repro.des import Resource
-
-        res = Resource(env, capacity=1)
-
-        def holder(env):
-            with res.request() as req:
-                yield req
-                yield env.timeout(10)
-
-        def waiter(env):
-            try:
-                with res.request() as req:
-                    yield req
-            except Interrupt:
-                return "interrupted"
-
-        def attacker(env, proc):
-            yield env.timeout(2)
-            proc.interrupt()
-
-        env.process(holder(env))
-        p = env.process(waiter(env))
-        env.process(attacker(env, p))
-        env.run()
-        assert p.value == "interrupted"
-        # The dead waiter must not be granted the slot when it frees.
-        assert res.count == 0
-        assert len(res.queue) == 0

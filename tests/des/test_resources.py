@@ -1,220 +1,13 @@
-"""Unit tests for repro.des.resources: Resource, Container, Stores."""
+"""Unit tests for repro.des.resources: the FIFO Store."""
 
 import pytest
 
-from repro.des import (
-    Container,
-    Environment,
-    FilterStore,
-    PriorityItem,
-    PriorityResource,
-    PriorityStore,
-    Resource,
-    Store,
-)
+from repro.des import Environment, Store
 
 
 @pytest.fixture()
 def env():
     return Environment()
-
-
-class TestResource:
-    def test_capacity_validation(self, env):
-        with pytest.raises(ValueError):
-            Resource(env, capacity=0)
-
-    def test_immediate_grant_within_capacity(self, env):
-        res = Resource(env, capacity=2)
-        log = []
-
-        def user(env, name):
-            with res.request() as req:
-                yield req
-                log.append((name, env.now))
-                yield env.timeout(1)
-
-        env.process(user(env, "a"))
-        env.process(user(env, "b"))
-        env.run()
-        assert log == [("a", 0), ("b", 0)]
-
-    def test_queueing_beyond_capacity(self, env):
-        res = Resource(env, capacity=1)
-        log = []
-
-        def user(env, name, hold):
-            with res.request() as req:
-                yield req
-                log.append((name, env.now))
-                yield env.timeout(hold)
-
-        env.process(user(env, "first", 5))
-        env.process(user(env, "second", 1))
-        env.run()
-        assert log == [("first", 0), ("second", 5)]
-
-    def test_count_and_queue(self, env):
-        res = Resource(env, capacity=1)
-
-        def holder(env):
-            with res.request() as req:
-                yield req
-                yield env.timeout(10)
-
-        def observer(env):
-            yield env.timeout(1)
-            res.request()  # queued forever
-            yield env.timeout(1)
-            assert res.count == 1
-            assert len(res.queue) == 1
-
-        env.process(holder(env))
-        env.process(observer(env))
-        env.run(until=5)
-
-    def test_release_via_context_manager(self, env):
-        res = Resource(env, capacity=1)
-
-        def user(env):
-            with res.request() as req:
-                yield req
-                yield env.timeout(1)
-            # released here
-            assert res.count == 0
-
-        env.process(user(env))
-        env.run()
-
-    def test_explicit_release(self, env):
-        res = Resource(env, capacity=1)
-
-        def user(env):
-            req = res.request()
-            yield req
-            assert res.count == 1
-            yield res.release(req)
-            assert res.count == 0
-
-        env.process(user(env))
-        env.run()
-
-    def test_cancel_waiting_request(self, env):
-        res = Resource(env, capacity=1)
-
-        def holder(env):
-            with res.request() as req:
-                yield req
-                yield env.timeout(10)
-
-        def impatient(env):
-            yield env.timeout(1)
-            with res.request() as req:
-                result = yield req | env.timeout(2)
-                assert req not in result
-            # context exit cancels the queued request
-            assert len(res.queue) == 0
-
-        env.process(holder(env))
-        env.process(impatient(env))
-        env.run()
-
-
-class TestPriorityResource:
-    def test_priority_ordering(self, env):
-        res = PriorityResource(env, capacity=1)
-        served = []
-
-        def holder(env):
-            with res.request(priority=0) as req:
-                yield req
-                yield env.timeout(5)
-
-        def user(env, name, prio, delay):
-            yield env.timeout(delay)
-            with res.request(priority=prio) as req:
-                yield req
-                served.append(name)
-                yield env.timeout(1)
-
-        env.process(holder(env))
-        env.process(user(env, "low", 10, 1))
-        env.process(user(env, "high", 1, 2))
-        env.run()
-        assert served == ["high", "low"]
-
-    def test_fifo_within_priority(self, env):
-        res = PriorityResource(env, capacity=1)
-        served = []
-
-        def holder(env):
-            with res.request(priority=0) as req:
-                yield req
-                yield env.timeout(5)
-
-        def user(env, name, delay):
-            yield env.timeout(delay)
-            with res.request(priority=5) as req:
-                yield req
-                served.append(name)
-                yield env.timeout(1)
-
-        env.process(holder(env))
-        env.process(user(env, "first", 1))
-        env.process(user(env, "second", 2))
-        env.run()
-        assert served == ["first", "second"]
-
-
-class TestContainer:
-    def test_validation(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=5, init=6)
-
-    def test_get_blocks_until_stock(self, env):
-        tank = Container(env, capacity=100, init=0)
-        log = []
-
-        def producer(env):
-            yield env.timeout(3)
-            yield tank.put(10)
-
-        def consumer(env):
-            yield tank.get(5)
-            log.append(env.now)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert log == [3]
-        assert tank.level == 5
-
-    def test_put_blocks_at_capacity(self, env):
-        tank = Container(env, capacity=10, init=10)
-        log = []
-
-        def producer(env):
-            yield tank.put(5)
-            log.append(("put-done", env.now))
-
-        def consumer(env):
-            yield env.timeout(2)
-            yield tank.get(7)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert log == [("put-done", 2)]
-        assert tank.level == 8
-
-    def test_amount_validation(self, env):
-        tank = Container(env, capacity=10, init=5)
-        with pytest.raises(ValueError):
-            tank.put(0)
-        with pytest.raises(ValueError):
-            tank.get(-1)
 
 
 class TestStore:
@@ -270,62 +63,3 @@ class TestStore:
         env.process(producer(env))
         env.run()
         assert log == [("late", 7)]
-
-
-class TestFilterStore:
-    def test_filtered_get(self, env):
-        store = FilterStore(env)
-        got = []
-
-        def producer(env):
-            for item in (1, 2, 3, 4):
-                yield store.put(item)
-
-        def consumer(env):
-            item = yield store.get(lambda x: x % 2 == 0)
-            got.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert got == [2]
-        assert store.items == [1, 3, 4]
-
-    def test_filter_waits_for_match(self, env):
-        store = FilterStore(env)
-        got = []
-
-        def consumer(env):
-            item = yield store.get(lambda x: x == "wanted")
-            got.append((item, env.now))
-
-        def producer(env):
-            yield store.put("other")
-            yield env.timeout(5)
-            yield store.put("wanted")
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got == [("wanted", 5)]
-
-
-class TestPriorityStore:
-    def test_heap_order(self, env):
-        store = PriorityStore(env)
-        got = []
-
-        def producer(env):
-            for prio, name in [(3, "c"), (1, "a"), (2, "b")]:
-                yield store.put(PriorityItem(prio, name))
-
-        def consumer(env):
-            yield env.timeout(1)
-            for _ in range(3):
-                item = yield store.get()
-                got.append(item.item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert got == ["a", "b", "c"]

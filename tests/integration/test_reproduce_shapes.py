@@ -5,12 +5,17 @@ enough for the shape to be statistically solid.  These are the tests
 that say "the reproduction reproduces".
 """
 
+import numpy as np
 import pytest
 
 from repro import HybridConfig
-from repro.sim import run_replications, run_single
+from repro.core import blocking_probabilities, optimize_shares
+from repro.experiments import ExperimentScale, delay_vs_cutoff, push_policy_comparison
+from repro.sim import HybridSystem, build_adaptive_system, run_replications, run_single
+from repro.workload import WorkloadPhase
 
 HORIZON = 4_000.0
+SCALE = ExperimentScale(horizon=HORIZON, num_seeds=1)
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +26,16 @@ def alpha0_result():
         num_runs=2,
         horizon=HORIZON,
     )
+
+
+@pytest.fixture(scope="module")
+def cutoff_curves():
+    """Per-class delay curves of Figs. 3 (α = 0) and 4 (α = 1) at K = 10, 40, 70."""
+    curves = {}
+    for alpha in (0.0, 1.0):
+        fig = delay_vs_cutoff(alpha=alpha, theta=0.60, cutoffs=(10, 40, 70), scale=SCALE)
+        curves[alpha] = {c: np.array(fig.series_by_label(f"Class-{c}").y) for c in "AC"}
+    return curves
 
 
 class TestClassDifferentiation:
@@ -49,6 +64,16 @@ class TestClassDifferentiation:
         # Stretch-only scheduling ignores priorities: spread within noise.
         assert abs(c - a) / a < 0.15
 
+    def test_premium_not_slower_at_any_cutoff_alpha0(self, cutoff_curves):
+        # Fig. 3: the ordering holds along the whole K axis.
+        a, c = cutoff_curves[0.0]["A"], cutoff_curves[0.0]["C"]
+        assert np.all(a <= c * 1.05)
+
+    def test_alpha1_collapses_at_every_cutoff(self, cutoff_curves):
+        # Fig. 4: no differentiation anywhere along the K axis.
+        a, c = cutoff_curves[1.0]["A"], cutoff_curves[1.0]["C"]
+        assert np.all(np.abs(c - a) / a < 0.25)
+
     def test_differentiation_grows_as_alpha_falls(self):
         spreads = []
         for alpha in (1.0, 0.5, 0.0):
@@ -68,12 +93,16 @@ class TestCutoffShape:
     """§5.2: delay high at small K; interior optimum exists."""
 
     @pytest.fixture(scope="class")
-    def sweep(self):
+    def runs(self):
         base = HybridConfig(theta=0.60, alpha=0.25)
         return {
-            k: run_single(base.with_cutoff(k), seed=2, horizon=HORIZON).overall_delay
+            k: run_single(base.with_cutoff(k), seed=2, horizon=HORIZON)
             for k in (5, 25, 55, 90)
         }
+
+    @pytest.fixture(scope="class")
+    def sweep(self, runs):
+        return {k: result.overall_delay for k, result in runs.items()}
 
     def test_low_cutoff_penalty(self, sweep):
         assert sweep[5] > sweep[25]
@@ -85,20 +114,32 @@ class TestCutoffShape:
         best = min(sweep, key=sweep.get)
         assert best in (25, 55)
 
+    def test_low_cutoff_cost_penalty(self, runs):
+        # Fig. 5: the small-K corner costs more than the best K.
+        costs = {k: result.total_prioritized_cost for k, result in runs.items()}
+        assert costs[5] > min(costs.values())
+
+    def test_low_cutoff_penalises_basic_class_alpha0(self, cutoff_curves):
+        # Fig. 3: the basic class absorbs the small-K pull congestion.
+        c = cutoff_curves[0.0]["C"]
+        assert c[0] > c.min()
+
 
 class TestPrioritizedCost:
     """§5.3: decreasing α reduces the total prioritized cost."""
 
     def test_cost_falls_with_alpha(self):
-        costs = {}
-        for alpha in (0.0, 1.0):
-            result = run_replications(
-                HybridConfig(theta=0.60, alpha=alpha, cutoff=40),
-                num_runs=2,
-                horizon=HORIZON,
-            )
-            costs[alpha], _ = result.total_cost()
-        assert costs[0.0] < costs[1.0]
+        # Fig. 6 draws one curve per θ; priority helps on each.
+        for theta in (0.20, 0.60):
+            costs = {}
+            for alpha in (0.0, 1.0):
+                result = run_replications(
+                    HybridConfig(theta=theta, alpha=alpha, cutoff=40),
+                    num_runs=2,
+                    horizon=HORIZON,
+                )
+                costs[alpha], _ = result.total_cost()
+            assert costs[0.0] < costs[1.0], theta
 
 
 class TestBlocking:
@@ -128,6 +169,14 @@ class TestBlocking:
             protected.per_class_blocking["A"] <= starved.per_class_blocking["A"]
         )
 
+    def test_optimised_partition_beats_uniform(self):
+        config = HybridConfig()
+        allocation = optimize_shares(config, resolution=12)
+        uniform = blocking_probabilities(
+            np.full(3, 1 / 3), config.total_bandwidth, config.bandwidth_demand_mean
+        )
+        assert allocation.weighted_blocking <= float(config.class_priorities() @ uniform)
+
 
 class TestSkewEffect:
     """Higher access skew concentrates demand: the push set captures more."""
@@ -143,3 +192,37 @@ class TestSkewEffect:
         flat = run_single(base.with_theta(0.20), seed=4, horizon=HORIZON)
         skewed = run_single(base.with_theta(1.40), seed=4, horizon=HORIZON)
         assert skewed.overall_delay < flat.overall_delay
+
+
+class TestPushPrograms:
+    """E8: under skewed access, popularity-aware broadcast programs beat flat."""
+
+    def test_srr_and_disks_beat_flat_push_only(self):
+        _, delay = push_policy_comparison(theta=1.0, scale=SCALE)
+        assert delay["srr"] < delay["flat"]
+        assert delay["disks"] < delay["flat"] * 1.1
+
+
+class TestAdaptiveCutoff:
+    """§3: the online cut-off search follows a demand drift."""
+
+    def test_adaptive_cutoff_follows_demand_drift(self):
+        horizon = 3_000.0
+        config = HybridConfig(cutoff=40, theta=0.60)
+        static = HybridSystem(config, seed=7, warmup=0.1 * horizon).run(horizon)
+        system, controller = build_adaptive_system(
+            config,
+            seed=7,
+            warmup=0.1 * horizon,
+            period=horizon / 10,
+            candidates=[10, 25, 40, 55, 70],
+            phases=[
+                WorkloadPhase(duration=horizon / 2, theta=0.20),
+                WorkloadPhase(duration=horizon / 2, theta=1.40),
+            ],
+        )
+        adaptive = system.run(horizon)
+        assert any(d.changed for d in controller.decisions)
+        # Concentrated demand drives the cut-off down.
+        assert system.server.cutoff < 40
+        assert adaptive.overall_delay < static.overall_delay

@@ -200,11 +200,11 @@ class TestResumeRefusesOtherRunShapes:
     sweep returned reference and fast runs mixed in one aggregate.
     """
 
-    def _sweep(self, directory, **kwargs):
+    def _sweep(self, directory, warmup=WARMUP, **kwargs):
         from repro.sim import run_replications
 
         return run_replications(
-            CONFIG, num_runs=2, horizon=HORIZON, warmup=WARMUP, base_seed=5,
+            CONFIG, num_runs=2, horizon=HORIZON, warmup=warmup, base_seed=5,
             checkpoint_dir=directory, **kwargs,
         )
 
@@ -224,4 +224,16 @@ class TestResumeRefusesOtherRunShapes:
     def test_resume_accepts_same_engine_and_slo(self, tmp_path):
         first = self._sweep(tmp_path / "ck", engine="fast")
         again = self._sweep(tmp_path / "ck", resume=True, engine="fast")
+        assert all(results_identical(a, b) for a, b in zip(first.runs, again.runs))
+
+    def test_resume_refuses_dropped_warmup(self, tmp_path):
+        # ``warmup=None`` means 10 % of the horizon, not "whatever the
+        # checkpoint used", so it must not resume a sweep warmed up by 5.
+        self._sweep(tmp_path / "ck", warmup=5.0)
+        with pytest.raises(CheckpointMismatch, match="warmup"):
+            self._sweep(tmp_path / "ck", resume=True, warmup=None)
+
+    def test_resume_accepts_no_warmup_twice(self, tmp_path):
+        first = self._sweep(tmp_path / "ck", warmup=None)
+        again = self._sweep(tmp_path / "ck", resume=True, warmup=None)
         assert all(results_identical(a, b) for a, b in zip(first.runs, again.runs))

@@ -27,8 +27,9 @@ from repro.sim import HybridSystem, build_adaptive_system
 from repro.sim.adaptive import AdaptiveCutoffController
 from repro.workload.arrivals import ArrivalProcess, Request
 from repro.workload.batched import BatchedArrivals
+from repro.workload.population import PopulationArrivals
 
-from .scenario_grid import BASE, GRID, _same
+from .scenario_grid import BASE, GRID, _close, _same
 
 SEEDS = (0, 1, 2)
 HORIZON = 400.0
@@ -56,10 +57,16 @@ FORCING = SLOSpec(
 )
 
 
+SAMPLERS = {
+    "reference": ArrivalProcess,
+    "fast": BatchedArrivals,
+    "population": PopulationArrivals,
+}
+
+
 def _per_event(config: HybridConfig, seed: int, engine: str):
     """The engine's default sampler on the system's own stream, as a custom source."""
-    sampler = ArrivalProcess if engine == "reference" else BatchedArrivals
-    return sampler(
+    return SAMPLERS[engine](
         catalog=config.build_catalog(),
         population=config.build_population(),
         rate=config.arrival_rate,
@@ -207,6 +214,25 @@ def test_reference_fed_batched_arrivals_equals_fast(name, pull_mode, seed):
     fast = HybridSystem(config, engine="fast", **kwargs).run(HORIZON)
     assert reference.satisfied_requests > 0
     assert _same(reference, fast)
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("pull_mode", ["serial", "concurrent"])
+@pytest.mark.parametrize("name", list(GRID))
+def test_reference_fed_population_arrivals_matches_population(name, pull_mode, seed):
+    # The folded store decides exactly as the per-request store; only its
+    # merged delay moments round differently.
+    config = GRID[name]
+    kwargs = dict(seed=seed, warmup=WARMUP, pull_mode=pull_mode)
+    if config.faults.client_recovery:
+        with pytest.raises(ValueError, match="client-recovery"):
+            HybridSystem(config, engine="population", **kwargs)
+        return
+    fed = _per_event(config, seed, "population")
+    reference = HybridSystem(config, arrivals=fed, **kwargs).run(HORIZON)
+    population = HybridSystem(config, engine="population", **kwargs).run(HORIZON)
+    assert reference.satisfied_requests > 0
+    assert _close(reference, population)
 
 
 def _controlled(config, seed, per_event, engine):
