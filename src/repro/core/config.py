@@ -154,8 +154,8 @@ class HybridConfig:
             raise ValueError(f"num_items must be >= 1, got {self.num_items}")
         if not 0 <= self.cutoff <= self.num_items:
             raise ValueError(f"cutoff {self.cutoff} outside [0, {self.num_items}]")
-        if self.arrival_rate <= 0:
-            raise ValueError(f"arrival_rate must be > 0, got {self.arrival_rate}")
+        if not 0 < self.arrival_rate < math.inf:
+            raise ValueError(f"arrival_rate must be finite and > 0, got {self.arrival_rate}")
         if self.theta < 0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
         if not 0 <= self.alpha <= 1:

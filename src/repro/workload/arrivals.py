@@ -10,6 +10,7 @@ on (``λ_i = λ · p_i · q_j`` discussion in §4.2).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
@@ -20,11 +21,15 @@ import numpy as np
 from .clients import ClientPopulation
 from .items import ItemCatalog
 
-__all__ = ["Request", "ArrivalProcess"]
+__all__ = ["Request", "ArrivalProcess", "InverseCdf"]
 
 #: Arrivals per :meth:`ArrivalProcess.next_chunk`.  Small, because the
 #: draws a run makes past its horizon are wasted.
 _CHUNK = 128
+
+#: Most buckets an :class:`InverseCdf` cuts ``[0, 1)`` into (128 KiB of
+#: indices).
+_MAX_BUCKETS = 1 << 14
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,7 +57,77 @@ class Request:
     priority: float
 
 
-class ArrivalProcess:
+class InverseCdf:
+    """Exact inverse-CDF lookup for blocks of uniforms: a guide table.
+
+    ``InverseCdf(cdf)(u)`` equals ``np.minimum(np.searchsorted(cdf, u,
+    side="right"), len(cdf) - 1)`` in value and dtype for every ``u >= 0``.
+    It cuts ``[0, 1)`` into ``G`` equal buckets, ``G`` the least power of
+    two with 64 buckets per CDF value (at most ``_MAX_BUCKETS``), so
+    ``u·G`` and every bucket edge ``k/G`` are exact.  A bucket whose two
+    edges map to one index holds no CDF step, and the table stores that
+    index for it; a bucket that holds a step, and the bucket for
+    ``u >= 1``, store -1, and only the keys that land in them are
+    searched.  At most ``len(cdf)`` buckets hold a step, so a block
+    searches at most about ``len(cdf) / G`` of its keys, however skewed
+    the law.
+    """
+
+    def __init__(self, cdf: np.ndarray) -> None:
+        # Counting only the values below the last one is the clamp.
+        self._head = np.asarray(cdf, dtype=float)[:-1]
+        self._size = min(_MAX_BUCKETS, 1 << (64 * len(cdf) - 1).bit_length())
+        edges = np.arange(self._size + 1) / self._size
+        table = np.searchsorted(self._head, edges, side="right")
+        table[:-1][table[:-1] != table[1:]] = -1
+        table[-1] = -1
+        self._table = table
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """The index each uniform in ``u`` draws from the CDF."""
+        # Clamped before the cast, which a float past the intp range breaks.
+        scaled = u * self._size
+        np.minimum(scaled, self._size, out=scaled)
+        index = self._table[scaled.astype(np.intp)]
+        searched = np.flatnonzero(index < 0)
+        index[searched] = np.searchsorted(self._head, u[searched], side="right")
+        return index
+
+
+class _Sampler:
+    """The checked parameters every sampler keeps (see :class:`ArrivalProcess`)."""
+
+    def __init__(
+        self,
+        catalog: ItemCatalog,
+        population: ClientPopulation,
+        rate: float,
+        rng: np.random.Generator,
+        priority_weighted: bool,
+        chunk_size: int,
+    ) -> None:
+        if not 0 < rate < math.inf:
+            raise ValueError(f"arrival rate must be finite and > 0, got {rate}")
+        if chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+        self.catalog = catalog
+        self.population = population
+        self.rate = float(rate)
+        self.rng = rng
+        self.priority_weighted = bool(priority_weighted)
+        self.chunk_size = int(chunk_size)
+
+    def next_chunk(self) -> list[Request]:
+        """The next ``chunk_size`` arrivals, in time order."""
+        raise NotImplementedError
+
+    def __iter__(self) -> Iterator[Request]:
+        """Infinite lazy stream of requests in time order, a chunk at a time."""
+        while True:
+            yield from self.next_chunk()
+
+
+class ArrivalProcess(_Sampler):
     """Generates the request stream, either lazily or as a bulk trace.
 
     Parameters
@@ -62,7 +137,8 @@ class ArrivalProcess:
     population:
         Client population supplying the class mix.
     rate:
-        Aggregate Poisson rate ``λ'`` (requests per broadcast unit).
+        Aggregate Poisson rate ``λ'`` (requests per broadcast unit),
+        finite and positive.
     rng:
         numpy Generator; pass a named stream from
         :class:`repro.des.RandomStreams` for reproducibility.
@@ -82,24 +158,14 @@ class ArrivalProcess:
         rng: np.random.Generator,
         priority_weighted: bool = False,
     ) -> None:
-        if rate <= 0:
-            raise ValueError(f"arrival rate must be > 0, got {rate}")
-        self.catalog = catalog
-        self.population = population
-        self.rate = float(rate)
-        self.rng = rng
-        self.priority_weighted = bool(priority_weighted)
+        super().__init__(catalog, population, rate, rng, priority_weighted, _CHUNK)
         self._num_clients = len(population)
-        self._client_class_rank = np.array(
-            [c.service_class.rank for c in population], dtype=int
-        )
-        self._client_priority = np.array([c.priority for c in population], dtype=float)
+        self._client_class_rank, self._client_priority = population.client_table()
+        self._client_weights: Optional[np.ndarray] = None
+        self._client_cdf: Optional[np.ndarray] = None
         if priority_weighted:
             self._client_weights = self._client_priority / self._client_priority.sum()
             self._client_cdf = np.cumsum(self._client_weights)
-        else:
-            self._client_weights = None
-            self._client_cdf = None
         self._item_cdf = np.cumsum(catalog.probabilities)
         self._stream: Optional[Iterator[Request]] = None
 
@@ -137,7 +203,7 @@ class ArrivalProcess:
         """The next arrivals of one :meth:`__iter__` stream, for in-line draining."""
         if self._stream is None:
             self._stream = iter(self)
-        return list(islice(self._stream, _CHUNK))
+        return list(islice(self._stream, self.chunk_size))
 
     # -- bulk generation (vectorised, for analysis & traces) ------------------
     def generate(self, horizon: float) -> list[Request]:

@@ -23,38 +23,25 @@ and the API boundary still speaks ``Request``.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Optional
 
 import numpy as np
 
-from .arrivals import Request
+from .arrivals import InverseCdf, Request, _Sampler
 from .clients import ClientPopulation
 from .items import ItemCatalog
 
 __all__ = ["BatchedArrivals"]
 
 
-class BatchedArrivals:
+class BatchedArrivals(_Sampler):
     """Vectorised equivalent of :class:`~repro.workload.arrivals.ArrivalProcess`.
 
-    Parameters
-    ----------
-    catalog:
-        Item catalog supplying the Zipf item law.
-    population:
-        Client population supplying the class mix.
-    rate:
-        Aggregate Poisson rate ``λ'`` (requests per broadcast unit).
-    rng:
-        numpy Generator; pass a named stream from
-        :class:`repro.des.RandomStreams` for reproducibility.
-    priority_weighted:
-        Draw the originating client proportionally to its priority weight
-        ``q_j`` instead of uniformly (§4.2's ``λ_i = λ·p_i·q_j``).
-    chunk_size:
-        Arrivals generated per batch.  Larger chunks amortise numpy
-        dispatch further but hold more ``Request`` objects alive; the
-        default keeps a chunk comfortably inside L2-cache-sized lists.
+    Takes :class:`~repro.workload.arrivals.ArrivalProcess`'s parameters,
+    plus ``chunk_size``, the arrivals generated per batch.  Larger chunks
+    amortise numpy dispatch further but hold more ``Request`` objects
+    alive; the default keeps a chunk comfortably inside L2-cache-sized
+    lists.
     """
 
     def __init__(
@@ -66,28 +53,14 @@ class BatchedArrivals:
         priority_weighted: bool = False,
         chunk_size: int = 4096,
     ) -> None:
-        if rate <= 0:
-            raise ValueError(f"arrival rate must be > 0, got {rate}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.catalog = catalog
-        self.population = population
-        self.rate = float(rate)
-        self.rng = rng
-        self.priority_weighted = bool(priority_weighted)
-        self.chunk_size = int(chunk_size)
-        self._num_items = len(catalog)
+        super().__init__(catalog, population, rate, rng, priority_weighted, chunk_size)
         self._num_clients = len(population)
-        self._client_class_rank = np.array(
-            [c.service_class.rank for c in population], dtype=int
-        )
-        self._client_priority = np.array([c.priority for c in population], dtype=float)
+        self._client_class_rank, self._client_priority = population.client_table()
+        self._items = InverseCdf(np.cumsum(catalog.probabilities))
+        self._clients: Optional[InverseCdf] = None
         if priority_weighted:
             weights = self._client_priority / self._client_priority.sum()
-            self._client_cdf: np.ndarray | None = np.cumsum(weights)
-        else:
-            self._client_cdf = None
-        self._item_cdf = np.cumsum(catalog.probabilities)
+            self._clients = InverseCdf(np.cumsum(weights))
         #: Clock of the last generated arrival; the next chunk continues
         #: from here, so consecutive chunks form one Poisson process.
         self._t = 0.0
@@ -104,17 +77,11 @@ class BatchedArrivals:
         rng = self.rng
         times = self._t + np.cumsum(rng.exponential(1.0 / self.rate, size=n))
         self._t = float(times[-1])
-        item_ids = np.minimum(
-            np.searchsorted(self._item_cdf, rng.random(n), side="right"),
-            self._num_items - 1,
-        )
-        if self._client_cdf is None:
+        item_ids = self._items(rng.random(n))
+        if self._clients is None:
             client_ids = rng.integers(0, self._num_clients, size=n)
         else:
-            client_ids = np.minimum(
-                np.searchsorted(self._client_cdf, rng.random(n), side="right"),
-                self._num_clients - 1,
-            )
+            client_ids = self._clients(rng.random(n))
         ranks = self._client_class_rank[client_ids]
         priorities = self._client_priority[client_ids]
         return [
@@ -127,12 +94,3 @@ class BatchedArrivals:
                 priorities.tolist(),
             )
         ]
-
-    def __iter__(self) -> Iterator[Request]:
-        """Infinite lazy stream of requests in time order (chunk-backed).
-
-        Lets a ``BatchedArrivals`` double as a generic arrivals source
-        (e.g. for ``drive_arrivals`` on the reference engine).
-        """
-        while True:
-            yield from self.next_chunk()

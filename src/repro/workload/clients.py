@@ -191,6 +191,14 @@ class ClientPopulation:
         """
         return self.class_counts / self.class_counts.sum()
 
+    def client_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each client's class rank and priority weight ``q_j``, by client id.
+
+        Client ids run class by class, so no client is materialised.
+        """
+        ranks = np.repeat(np.arange(self.num_classes), self.class_counts)
+        return ranks, self.priorities[ranks]
+
     def class_by_name(self, name: str) -> ServiceClass:
         """Look up a service class by its label."""
         for svc in self.classes:

@@ -9,6 +9,7 @@ phase boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -50,8 +51,8 @@ class WorkloadPhase:
             raise ValueError(f"duration must be > 0, got {self.duration}")
         if self.theta < 0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
+        if self.rate is not None and not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
 
 
 class PhasedArrivalProcess:
@@ -81,18 +82,15 @@ class PhasedArrivalProcess:
     ) -> None:
         if not phases:
             raise ValueError("at least one phase is required")
-        if default_rate <= 0:
-            raise ValueError(f"default_rate must be > 0, got {default_rate}")
+        if not 0 < default_rate < math.inf:
+            raise ValueError(f"default_rate must be finite and > 0, got {default_rate}")
         self.catalog = catalog
         self.population = population
         self.phases = list(phases)
         self.default_rate = float(default_rate)
         self.rng = rng
         self._num_clients = len(population)
-        self._client_class_rank = np.array(
-            [c.service_class.rank for c in population], dtype=int
-        )
-        self._client_priority = np.array([c.priority for c in population], dtype=float)
+        self._client_class_rank, self._client_priority = population.client_table()
 
     def phase_probabilities(self, phase: WorkloadPhase) -> np.ndarray:
         """The item law in effect during ``phase``."""

@@ -30,12 +30,10 @@ tests and the reference driver.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 from numpy.typing import NDArray
 
-from .arrivals import Request
+from .arrivals import InverseCdf, Request, _Sampler
 from .clients import ClientPopulation
 from .items import ItemCatalog
 
@@ -49,27 +47,16 @@ Block = tuple[NDArray[np.float64], NDArray[np.intp], NDArray[np.intp]]
 AGGREGATE_CLIENT = -1
 
 
-class PopulationArrivals:
+class PopulationArrivals(_Sampler):
     """Aggregated per-(item, class) Poisson arrival streams.
 
-    Parameters
-    ----------
-    catalog:
-        Item catalog supplying the Zipf item law ``p_i``.
-    population:
-        Client population supplying the class mix ``f_j`` (only class-level
-        views are read; clients are never materialised).
-    rate:
-        Aggregate Poisson rate ``λ'`` (requests per broadcast unit).
-    rng:
-        numpy Generator; pass a named stream from
-        :class:`repro.des.RandomStreams` for reproducibility.
-    priority_weighted:
-        Weight the class share by priority mass (class ``j`` share
-        ``∝ count_j · q_j``) instead of population share — the aggregated
-        equivalent of drawing the client proportionally to ``q_j``.
-    chunk_size:
-        Arrivals generated per numpy block.
+    Takes :class:`~repro.workload.arrivals.ArrivalProcess`'s parameters,
+    plus ``chunk_size``, the arrivals generated per numpy block.  Only the
+    population's class-level views are read; clients are never
+    materialised.  ``priority_weighted`` weights the class share by
+    priority mass (class ``j`` share ``∝ count_j · q_j``) instead of
+    population share — the aggregated equivalent of drawing the client
+    proportionally to ``q_j``.
     """
 
     def __init__(
@@ -81,17 +68,7 @@ class PopulationArrivals:
         priority_weighted: bool = False,
         chunk_size: int = 8192,
     ) -> None:
-        if rate <= 0:
-            raise ValueError(f"arrival rate must be > 0, got {rate}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.catalog = catalog
-        self.population = population
-        self.rate = float(rate)
-        self.rng = rng
-        self.priority_weighted = bool(priority_weighted)
-        self.chunk_size = int(chunk_size)
-        self._num_items = len(catalog)
+        super().__init__(catalog, population, rate, rng, priority_weighted, chunk_size)
         if priority_weighted:
             mass = population.class_counts * population.priorities
             shares = mass / mass.sum()
@@ -99,10 +76,9 @@ class PopulationArrivals:
             shares = population.class_fractions
         #: Probability a random request belongs to each class (rank order).
         self.class_shares: np.ndarray = np.asarray(shares, dtype=float)
-        self._class_cdf = np.cumsum(self.class_shares)
+        self._classes = InverseCdf(np.cumsum(self.class_shares))
         self._class_priority = [float(q) for q in population.priorities]
-        self._num_classes = len(self._class_priority)
-        self._item_cdf = np.cumsum(catalog.probabilities)
+        self._items = InverseCdf(np.cumsum(catalog.probabilities))
         #: Clock of the last generated arrival; the next block continues
         #: from here, so consecutive blocks form one Poisson process.
         self._t = 0.0
@@ -133,14 +109,8 @@ class PopulationArrivals:
         rng = self.rng
         times = self._t + np.cumsum(rng.exponential(1.0 / self.rate, size=n))
         self._t = float(times[-1])
-        item_ids = np.minimum(
-            np.searchsorted(self._item_cdf, rng.random(n), side="right"),
-            self._num_items - 1,
-        )
-        ranks = np.minimum(
-            np.searchsorted(self._class_cdf, rng.random(n), side="right"),
-            self._num_classes - 1,
-        )
+        item_ids = self._items(rng.random(n))
+        ranks = self._classes(rng.random(n))
         return times, item_ids, ranks
 
     def next_chunk(self) -> list[Request]:
@@ -161,8 +131,3 @@ class PopulationArrivals:
             )
             for t, i, k in zip(times.tolist(), item_ids.tolist(), ranks.tolist())
         ]
-
-    def __iter__(self) -> Iterator[Request]:
-        """Infinite lazy stream of aggregated requests in time order."""
-        while True:
-            yield from self.next_chunk()

@@ -12,10 +12,7 @@ Each scenario also runs with 7-arrival blocks, so drains cross block
 boundaries and the warm-up boundary falls inside a drain.
 """
 
-import dataclasses
 import functools
-import math
-from collections.abc import Mapping
 
 import pytest
 
@@ -26,6 +23,8 @@ from repro.scale.folded import FoldedStore
 from repro.schedulers.flat import FlatScheduler
 from repro.sim import HybridSystem, system as system_module
 from repro.workload.population import PopulationArrivals
+
+from .scenario_grid import _same
 
 #: name -> (config, pull mode, horizon, mid-run cutoff moves (time, K)).
 SCENARIOS = {
@@ -42,26 +41,6 @@ SCENARIOS = {
     "concurrent": (HybridConfig(), "concurrent", 300.0, ()),
     "reconfigure": (HybridConfig(), "serial", 300.0, ((80.0, 10), (160.0, 60), (240.0, 0))),
 }
-
-
-def _same(left, right) -> bool:
-    """Exact equality of value and type, with NaN (an empty class's statistic) equal to NaN."""
-    if dataclasses.is_dataclass(left) and not isinstance(left, type):
-        return type(left) is type(right) and all(
-            _same(getattr(left, f.name), getattr(right, f.name))
-            for f in dataclasses.fields(left)
-        )
-    if isinstance(left, Mapping):
-        return list(left) == list(right) and all(_same(left[k], right[k]) for k in left)
-    if isinstance(left, (list, tuple)):
-        return (
-            type(left) is type(right)
-            and len(left) == len(right)
-            and all(_same(a, b) for a, b in zip(left, right))
-        )
-    if isinstance(left, float) and isinstance(right, float):
-        return left == right or (math.isnan(left) and math.isnan(right))
-    return type(left) is type(right) and left == right
 
 
 def _pending(groups) -> list:

@@ -1,11 +1,22 @@
 """Unit tests for repro.workload.arrivals: Poisson request streams."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from repro.workload import ArrivalProcess, ClientPopulation, ItemCatalog, Request
+from repro.core import HybridConfig
+from repro.workload import (
+    ArrivalProcess,
+    BatchedArrivals,
+    ClientPopulation,
+    ItemCatalog,
+    PhasedArrivalProcess,
+    PopulationArrivals,
+    Request,
+    WorkloadPhase,
+)
 
 
 @pytest.fixture()
@@ -23,6 +34,37 @@ class TestConstruction:
     def test_rate_validation(self, process):
         with pytest.raises(ValueError):
             ArrivalProcess(process.catalog, process.population, rate=0, rng=process.rng)
+
+    @pytest.mark.parametrize(
+        "rate", [math.inf, math.nan, 0.0, -1.0], ids=["inf", "nan", "zero", "negative"]
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda p, rate: HybridConfig(arrival_rate=rate),
+            lambda p, rate: ArrivalProcess(p.catalog, p.population, rate=rate, rng=p.rng),
+            lambda p, rate: BatchedArrivals(p.catalog, p.population, rate=rate, rng=p.rng),
+            lambda p, rate: PopulationArrivals(p.catalog, p.population, rate=rate, rng=p.rng),
+            lambda p, rate: PhasedArrivalProcess(
+                p.catalog, p.population, [WorkloadPhase(10.0, 0.6)], rate, p.rng
+            ),
+            lambda p, rate: WorkloadPhase(10.0, 0.6, rate=rate),
+        ],
+        ids=[
+            "HybridConfig",
+            "ArrivalProcess",
+            "BatchedArrivals",
+            "PopulationArrivals",
+            "PhasedArrivalProcess",
+            "WorkloadPhase",
+        ],
+    )
+    def test_rate_must_be_finite_and_positive(self, process, build, rate):
+        # An infinite rate puts every arrival of a block at t = 0, so a
+        # drain to any later time never returns; a NaN rate draws NaN
+        # times and runs to the horizon with no arrival admitted.
+        with pytest.raises(ValueError, match="finite and > 0"):
+            build(process, rate)
 
 
 class TestLazyStream:
