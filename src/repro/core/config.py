@@ -56,8 +56,8 @@ class ClassSpec:
     bandwidth_share: float = 1.0 / 3.0
 
     def __post_init__(self) -> None:
-        if self.priority <= 0:
-            raise ValueError(f"class {self.name!r}: priority must be > 0")
+        if not 0 < self.priority < math.inf:
+            raise ValueError(f"class {self.name!r}: priority must be finite and > 0")
         if not 0 < self.bandwidth_share <= 1:
             raise ValueError(f"class {self.name!r}: bandwidth share outside (0, 1]")
 
@@ -156,7 +156,7 @@ class HybridConfig:
             raise ValueError(f"cutoff {self.cutoff} outside [0, {self.num_items}]")
         if not 0 < self.arrival_rate < math.inf:
             raise ValueError(f"arrival_rate must be finite and > 0, got {self.arrival_rate}")
-        if self.theta < 0:
+        if not self.theta >= 0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
         if not 0 <= self.alpha <= 1:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
@@ -175,11 +175,13 @@ class HybridConfig:
         share_sum = sum(s.bandwidth_share for s in self.class_specs)
         if share_sum > 1.0 + 1e-9:
             raise ValueError(f"bandwidth shares sum to {share_sum} > 1")
-        if self.total_bandwidth <= 0:
+        if not self.total_bandwidth > 0:
             raise ValueError(f"total_bandwidth must be > 0, got {self.total_bandwidth}")
-        if self.bandwidth_demand_mean < 0:
-            raise ValueError("bandwidth_demand_mean must be >= 0")
-        if self.uplink_rate <= 0:
+        if not 0 <= self.bandwidth_demand_mean < math.inf:
+            raise ValueError(
+                f"bandwidth_demand_mean must be finite and >= 0, got {self.bandwidth_demand_mean}"
+            )
+        if not self.uplink_rate > 0:
             raise ValueError(f"uplink_rate must be > 0, got {self.uplink_rate}")
         if self.uplink_buffer < 0:
             raise ValueError(f"uplink_buffer must be >= 0, got {self.uplink_buffer}")

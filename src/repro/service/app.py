@@ -175,41 +175,35 @@ class BroadcastService:
     # -- handlers -----------------------------------------------------------------
     async def _handle_request(self, request: HttpRequest) -> HttpResponse:
         payload = request.json()
-        try:
-            item_id = int(payload["item_id"])
-        except KeyError:
-            raise HttpError(400, "missing required field 'item_id'") from None
-        except (TypeError, ValueError) as exc:
-            raise HttpError(400, f"item_id must be an integer: {exc}") from None
-        class_rank = self._class_rank(payload)
-        client_id = int(payload.get("client_id", 0))
+        if "item_id" not in payload:
+            raise HttpError(400, "missing required field 'item_id'")
         priority = payload.get("priority")
         try:
-            outcome = await self.core.submit(
-                item_id=item_id,
-                class_rank=class_rank,
+            fields = dict(
+                item_id=int(payload["item_id"]),
+                class_rank=self._class_rank(payload),
+                client_id=int(payload.get("client_id", 0)),
                 priority=float(priority) if priority is not None else None,
-                client_id=client_id,
             )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise HttpError(
+                400, f"item_id, class_rank, client_id need integers, priority a number: {exc}"
+            ) from None
+        try:
+            outcome = await self.core.submit(**fields)
         except ValueError as exc:
             raise HttpError(400, str(exc)) from None
         return self._outcome_response(outcome)
 
     def _class_rank(self, payload: dict) -> int:
         """Accept ``class_rank`` (int) or ``class_name`` (e.g. ``"A"``)."""
-        names = self.config.hybrid.class_names()
-        if "class_name" in payload:
-            name = str(payload["class_name"])
-            try:
-                return names.index(name)
-            except ValueError:
-                raise HttpError(
-                    400, f"unknown class_name {name!r}; known: {names}"
-                ) from None
-        try:
+        if "class_name" not in payload:
             return int(payload.get("class_rank", 0))
-        except (TypeError, ValueError) as exc:
-            raise HttpError(400, f"class_rank must be an integer: {exc}") from None
+        names = self.config.hybrid.class_names()
+        name = str(payload["class_name"])
+        if name not in names:
+            raise HttpError(400, f"unknown class_name {name!r}; known: {names}")
+        return names.index(name)
 
     def _outcome_response(self, outcome: RequestOutcome) -> HttpResponse:
         headers = {}

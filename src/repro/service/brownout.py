@@ -142,11 +142,6 @@ class BrownoutController:
         return True
 
     # -- audit ------------------------------------------------------------------
-    @property
-    def engaged(self) -> bool:
-        """Whether any class is currently browned out."""
-        return self.level > 0
-
     def to_dict(self) -> dict[str, object]:
         """JSON payload for ``/metrics``."""
         return {

@@ -20,6 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from .app import BroadcastService
+from .clock import run_with_precise_timers
 from .config import LoadGenConfig, LossPhase, ServiceConfig, SurgePhase
 from .ledger import LedgerViolation
 
@@ -175,7 +176,7 @@ def serve_main(argv: Sequence[str]) -> int:
     """Entry point of ``repro serve``; returns an exit code."""
     args = build_serve_parser().parse_args(list(argv))
     try:
-        return asyncio.run(_serve(args))
+        return run_with_precise_timers(_serve(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -264,7 +265,7 @@ def loadgen_main(argv: Sequence[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = asyncio.run(run_loadgen(args.host, args.port, config, hybrid))
+    report = run_with_precise_timers(run_loadgen(args.host, args.port, config, hybrid))
     payload = report.to_dict()
     print(json.dumps(payload, indent=2))
     if args.report is not None:

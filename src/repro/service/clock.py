@@ -16,9 +16,14 @@ is reviewed.
 
 from __future__ import annotations
 
+import asyncio
+import selectors
 import time
+from typing import Any, Coroutine, Optional, TypeVar
 
-__all__ = ["ServiceClock"]
+__all__ = ["PollingSelector", "ServiceClock", "run_with_precise_timers"]
+
+T = TypeVar("T")
 
 
 class ServiceClock:
@@ -35,3 +40,31 @@ class ServiceClock:
     def now(self) -> float:
         """Seconds elapsed since the clock was created."""
         return time.monotonic() - self._origin
+
+
+class PollingSelector(selectors.DefaultSelector):
+    """Polls instead of blocking while the next timer is under 1 ms away.
+
+    ``epoll_wait`` counts whole milliseconds, so the stock selector rounds
+    a shorter wait up to 1 ms: a 5 µs air-time sleep blocks that long
+    whenever no I/O arrives first.  Polling (timeout 0) lets the loop see
+    the timer fall due; the spin lasts at most the 1 ms it replaces.
+    """
+
+    def select(self, timeout: Optional[float] = None) -> list[tuple[selectors.SelectorKey, int]]:
+        return super().select(0 if timeout is not None and timeout < 1e-3 else timeout)
+
+
+class _PollingPolicy(asyncio.DefaultEventLoopPolicy):
+    def new_event_loop(self) -> asyncio.AbstractEventLoop:
+        return asyncio.SelectorEventLoop(PollingSelector())
+
+
+def run_with_precise_timers(main: Coroutine[Any, Any, T]) -> T:
+    """``asyncio.run(main)`` on a loop built around :class:`PollingSelector`."""
+    previous = asyncio.get_event_loop_policy()
+    asyncio.set_event_loop_policy(_PollingPolicy())
+    try:
+        return asyncio.run(main)
+    finally:
+        asyncio.set_event_loop_policy(previous)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -115,19 +115,6 @@ class _Window:
     shed: int
     rejected: int
     timed_out: int
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "time": self.time,
-            "queue_entries": self.queue_entries,
-            "occupancy": self.occupancy,
-            "brownout_level": self.brownout_level,
-            "health": self.health,
-            "served": self.served,
-            "shed": self.shed,
-            "rejected": self.rejected,
-            "timed_out": self.timed_out,
-        }
 
 
 #: Ledger status and HTTP code of each loss the kernel can apply.
@@ -370,9 +357,10 @@ class SchedulerCore:
     ) -> RequestOutcome:
         """Accept one client request and await its terminal outcome.
 
-        Raises ``ValueError`` for out-of-range items/classes (the front
-        maps that to HTTP 400); every in-range submission is booked in
-        the ledger under exactly one outcome.
+        Raises ``ValueError`` for out-of-range items/classes and for a
+        priority that is not finite and > 0 (the front maps that to HTTP
+        400); every valid submission is booked in the ledger under
+        exactly one outcome.
         """
         if not 0 <= item_id < len(self.catalog):
             raise ValueError(
@@ -384,6 +372,8 @@ class SchedulerCore:
             )
         if priority is None:
             priority = float(self.config.hybrid.class_specs[class_rank].priority)
+        elif not 0 < priority < math.inf:
+            raise ValueError(f"priority must be finite and > 0, got {priority}")
         if not self.health.accepting:
             return RequestOutcome(status="draining", http=503)
         now = self.clock.now()
@@ -600,7 +590,7 @@ class SchedulerCore:
             self.windows.append(window)
             if len(self.windows) > 512:
                 del self.windows[: len(self.windows) - 512]
-            payload = window.to_dict()
+            payload = asdict(window)
             for queue in self._subscribers:
                 if not queue.full():
                     queue.put_nowait(payload)
@@ -626,8 +616,6 @@ class SchedulerCore:
             }
             for rank, name in enumerate(self.config.hybrid.class_names())
         }
-        if not math.isfinite(self.clock.now()):  # pragma: no cover - paranoia
-            raise RuntimeError("service clock went non-finite")
         return {
             "time": self.clock.now(),
             "health": {
@@ -641,5 +629,5 @@ class SchedulerCore:
             "ingress_capacity": self.config.ingress_capacity,
             "pool": pool,
             "control": self.control.status() if self.control is not None else None,
-            "windows": [w.to_dict() for w in self.windows[-32:]],
+            "windows": [asdict(w) for w in self.windows[-32:]],
         }

@@ -199,13 +199,9 @@ class WebSocketConnection:
         self.writer = writer
         self.closed = False
 
-    async def send_text(self, text: str) -> None:
-        """Send one unfragmented text frame."""
-        await self._send_frame(self.TEXT, text.encode())
-
     async def send_json(self, payload: dict) -> None:
-        """Send one JSON object as a text frame."""
-        await self.send_text(json.dumps(payload))
+        """Send one JSON object as an unfragmented text frame."""
+        await self._send_frame(self.TEXT, json.dumps(payload).encode())
 
     async def close(self, code: int = 1000) -> None:
         """Send a close frame (idempotent)."""

@@ -17,7 +17,7 @@ randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = ["ServiceLedger", "LedgerSnapshot", "LedgerViolation"]
 
@@ -68,18 +68,7 @@ class LedgerSnapshot:
 
     def to_dict(self) -> dict[str, int]:
         """JSON payload for ``/metrics`` and the drain report."""
-        return {
-            "submitted": self.submitted,
-            "served": self.served,
-            "blocked": self.blocked,
-            "rejected": self.rejected,
-            "shed": self.shed,
-            "timed_out": self.timed_out,
-            "failed": self.failed,
-            "queued": self.queued,
-            "in_flight": self.in_flight,
-            "balance": self.balance,
-        }
+        return {**asdict(self), "balance": self.balance}
 
 
 @dataclass

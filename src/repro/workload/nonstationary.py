@@ -47,9 +47,9 @@ class WorkloadPhase:
     rotate: int = 0
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
-        if self.theta < 0:
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be finite and > 0, got {self.duration}")
+        if not self.theta >= 0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
         if self.rate is not None and not 0 < self.rate < math.inf:
             raise ValueError(f"rate must be finite and > 0, got {self.rate}")

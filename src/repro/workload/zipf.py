@@ -44,7 +44,7 @@ def zipf_probabilities(n: int, theta: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need at least one item, got n={n}")
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError(f"theta must be >= 0, got {theta}")
     ranks = np.arange(1, n + 1, dtype=float)
     weights = ranks ** (-theta)

@@ -1,5 +1,7 @@
 """Unit tests for HybridConfig and ClassSpec."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,11 @@ class TestClassSpec:
             ClassSpec(name="X", priority=1.0, bandwidth_share=0.0)
         with pytest.raises(ValueError):
             ClassSpec(name="X", priority=1.0, bandwidth_share=1.5)
+
+    @pytest.mark.parametrize("priority", [math.nan, math.inf, -1.0])
+    def test_priority_must_be_finite_and_positive(self, priority):
+        with pytest.raises(ValueError, match="priority"):
+            ClassSpec(name="X", priority=priority)
 
 
 class TestConfigValidation:
@@ -77,6 +84,32 @@ class TestConfigValidation:
             HybridConfig(min_length=1, max_length=5, mean_length=6.0)
         with pytest.raises(ValueError, match="mean_length"):
             HybridConfig(min_length=2, max_length=5, mean_length=1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("total_bandwidth", math.nan),
+            ("total_bandwidth", 0.0),
+            ("bandwidth_demand_mean", math.nan),
+            ("bandwidth_demand_mean", math.inf),
+            ("bandwidth_demand_mean", -1.0),
+            ("uplink_rate", math.nan),
+            ("theta", math.nan),
+            ("theta", -0.5),
+        ],
+    )
+    def test_nan_and_out_of_range_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HybridConfig(**{field: value})
+
+    def test_nan_population_skew_fails_at_build(self):
+        # Like a negative skew, it is checked where the class-size law is built.
+        with pytest.raises(ValueError, match="theta"):
+            HybridConfig(population_skew=math.nan).build_population()
+
+    @pytest.mark.parametrize("field", ["total_bandwidth", "uplink_rate"])
+    def test_infinite_capacity_means_unbounded(self, field):
+        assert getattr(HybridConfig(**{field: math.inf}), field) == math.inf
 
     def test_overload_requires_bounded_queue(self):
         from repro.core import FaultConfig, OverloadConfig

@@ -131,6 +131,58 @@ def test_error_paths_and_routing() -> None:
     asyncio.run(scenario())
 
 
+def test_malformed_fields_answer_400_and_keep_serving() -> None:
+    """A non-integer client_id (or any unparsable field) is a 400, not a dropped connection."""
+
+    async def scenario():
+        service = BroadcastService(quick_config())
+        await service.start()
+        try:
+            for bad in (
+                {"item_id": 2, "client_id": "x"},
+                {"item_id": 2, "client_id": None},
+                {"item_id": 2, "client_id": [1]},
+                {"item_id": 2, "class_rank": None},
+                {"item_id": 2, "priority": "high"},
+                {"item_id": None},
+                {"item_id": float("inf")},
+            ):
+                status, _, body = await post(service.port, bad)
+                assert status == 400, bad
+                assert "integers" in body["error"], bad
+            status, _, body = await post(service.port, {"item_id": 2, "client_id": 7})
+            assert (status, body["outcome"]) == (200, "served")
+        finally:
+            snapshot = await service.shutdown()
+        assert snapshot.balance == 0 and snapshot.submitted == 1
+
+    asyncio.run(scenario())
+
+
+def test_priority_must_be_finite_and_positive() -> None:
+    """NaN, infinite, zero and negative priorities are refused before admission."""
+
+    async def scenario():
+        service = BroadcastService(quick_config())
+        await service.start()
+        try:
+            for priority in (float("nan"), float("inf"), float("-inf"), 0.0, -2.0):
+                status, _, body = await post(
+                    service.port, {"item_id": 12, "class_rank": 0, "priority": priority}
+                )
+                assert status == 400, priority
+                assert "priority must be finite and > 0" in body["error"]
+            status, _, body = await post(
+                service.port, {"item_id": 12, "class_rank": 0, "priority": 2.5}
+            )
+            assert (status, body["outcome"]) == (200, "served")
+        finally:
+            snapshot = await service.shutdown()
+        assert snapshot.balance == 0 and snapshot.submitted == 1
+
+    asyncio.run(scenario())
+
+
 def test_class_name_is_accepted_as_alias_for_rank() -> None:
     async def scenario():
         service = BroadcastService(quick_config())

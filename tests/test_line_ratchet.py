@@ -9,7 +9,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-SRC_LINE_BUDGET = 25_734
+SRC_LINE_BUDGET = 25_732
 
 
 def test_src_line_count_stays_within_budget():

@@ -1,6 +1,7 @@
 """Unit tests for phased (drifting) workloads."""
 
-import numpy as np
+import math
+
 import pytest
 
 from repro.des import RandomStreams
@@ -34,6 +35,20 @@ class TestPhaseValidation:
             WorkloadPhase(duration=1, theta=-1)
         with pytest.raises(ValueError):
             WorkloadPhase(duration=1, theta=0.5, rate=0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"duration": math.nan, "theta": 0.5},
+            {"duration": math.inf, "theta": 0.5},
+            {"duration": 1.0, "theta": math.nan},
+            {"duration": 1.0, "theta": 0.5, "rate": math.nan},
+        ],
+        ids=["nan-duration", "inf-duration", "nan-theta", "nan-rate"],
+    )
+    def test_non_finite_fields_rejected(self, fields):
+        with pytest.raises(ValueError):
+            WorkloadPhase(**fields)
 
     def test_process_validation(self):
         with pytest.raises(ValueError):

@@ -48,6 +48,8 @@ class TestZipfProbabilities:
             zipf_probabilities(0, 0.5)
         with pytest.raises(ValueError):
             zipf_probabilities(10, -0.1)
+        with pytest.raises(ValueError):
+            zipf_probabilities(10, float("nan"))
 
 
 class TestCdfAndMass:
